@@ -5,9 +5,7 @@
 # suite + overhead bench, the run-registry stage (registry suite,
 # recording/probe overhead bench, and a seeded smoke run gated against
 # the committed baseline by the `repro runs check` watchdog), the
-# cascade stage (staged-scoring suite + frontier bench, gated against
-# tests/baselines/cascade_bench.json for F1 and throughput regressions),
-# the serve stage (serving test battery + load bench of the
+# serve stage (serving test battery + load bench of the
 # `repro serve` daemon, gated against tests/baselines/serve_bench.json
 # for served-throughput regressions), and the stream stage (durable
 # streaming suite incl. the kill-at-any-point crash matrix + a
@@ -57,13 +55,6 @@ python -m pytest -q benchmarks/bench_ext_runs.py
 RUNS_TMP="$(mktemp -d)"
 trap 'rm -rf "$RUNS_TMP"' EXIT
 
-echo "== cascade: staged-scoring suite + frontier bench vs baseline =="
-python -m pytest -q tests/test_cascade.py
-REPRO_RUNS_DIR="$RUNS_TMP" python -m pytest -q benchmarks/bench_cascade.py --record
-REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli runs check bench-cascade \
-    --baseline tests/baselines/cascade_bench.json \
-    --f1-tol 0.02 --throughput-tol 0.5
-
 echo "== serve: daemon test battery + load bench vs baseline =="
 python -m pytest -q tests/test_serve.py
 REPRO_RUNS_DIR="$RUNS_TMP" python -m pytest -q benchmarks/bench_serve.py --record
@@ -103,7 +94,6 @@ echo "== results =="
 cat results/ext_engine.txt
 cat results/ext_obs.txt
 cat results/ext_runs.txt
-cat results/cascade_frontier.txt
 cat results/explain_faithfulness.txt
 cat results/serve_bench.txt
 cat results/serve_trace.txt

@@ -12,8 +12,6 @@ Commands
 - ``casestudy``                print the Section 4.7 case-study pair
 - ``profile-engine``           time the batched inference engine vs. the
                                naive scoring loop on a blocking workload
-- ``profile-cascade``          time the staged cheap->full cascade against
-                               the full engine alone on the same workload
 - ``serve``                    run the matching daemon: newline-delimited
                                JSON over TCP with micro-batching,
                                backpressure, and hot-swappable weights
@@ -172,22 +170,6 @@ def _cmd_profile_engine(args) -> int:
         repeats=args.repeats,
     )
     print(render_profile(report))
-    return 0
-
-
-def _cmd_profile_cascade(args) -> int:
-    from repro.engine.profile import (
-        profile_cascade_workload,
-        render_cascade_profile,
-    )
-
-    report = profile_cascade_workload(
-        dataset=args.dataset, size=args.size, cheap_model=args.cheap,
-        full_model=args.full, batch_size=args.batch_size,
-        max_pairs=args.max_pairs, repeats=args.repeats,
-        low=args.low, high=args.high,
-    )
-    print(render_cascade_profile(report))
     return 0
 
 
@@ -672,26 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument("--repeats", type=int, default=3)
     add_trace_flags(engine)
     engine.set_defaults(fn=_cmd_profile_engine)
-
-    cascade = sub.add_parser(
-        "profile-cascade",
-        help="time the staged cheap->full cascade vs. the full engine alone",
-    )
-    cascade.add_argument("--dataset", default="wdc_computers")
-    cascade.add_argument("--size", default="small")
-    cascade.add_argument("--cheap", default="emba_dual_sb",
-                         help="cheap-stage model (late-interaction)")
-    cascade.add_argument("--full", default="emba_sb",
-                         help="full-stage cross-encoder model")
-    cascade.add_argument("--batch-size", type=int, default=32)
-    cascade.add_argument("--max-pairs", type=int, default=400)
-    cascade.add_argument("--repeats", type=int, default=3)
-    cascade.add_argument("--low", type=float, default=0.45,
-                         help="escalation band lower edge")
-    cascade.add_argument("--high", type=float, default=0.55,
-                         help="escalation band upper edge")
-    add_trace_flags(cascade)
-    cascade.set_defaults(fn=_cmd_profile_cascade)
 
     serve = sub.add_parser(
         "serve",

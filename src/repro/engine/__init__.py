@@ -5,28 +5,15 @@ loops that used to live in the blocking pipeline, the trainer's
 validation, LIME, and the experiment runners.
 """
 
-from repro.engine.cascade import CascadeScorer, CascadeStats
 from repro.engine.core import EngineConfig, InferenceEngine
-from repro.engine.memo import (
-    LRUCache,
-    array_digest,
-    encoder_fingerprint,
-    pair_encoder_fingerprint,
-    scoped_key,
-    text_digest,
-)
+from repro.engine.memo import LRUCache, array_digest, text_digest
 from repro.engine.stats import EngineStats
 
 __all__ = [
-    "CascadeScorer",
-    "CascadeStats",
     "EngineConfig",
     "EngineStats",
     "InferenceEngine",
     "LRUCache",
     "array_digest",
-    "encoder_fingerprint",
-    "pair_encoder_fingerprint",
-    "scoped_key",
     "text_digest",
 ]

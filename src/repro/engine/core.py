@@ -24,10 +24,8 @@ where the same record appears in many candidate pairs:
   candidate pairs pays for exactly one encoder forward, turning
   O(pairs) forwards into O(records) + the pairwise head.
 
-Every cache key is namespaced by an encoder identity fingerprint (see
-:mod:`repro.engine.memo`), so engines sharing a cache — e.g. the stages
-of a :class:`~repro.engine.cascade.CascadeScorer` — can never collide
-on a record key.
+Cache keys are bare content digests: an engine's model and pair encoder
+are fixed for its lifetime (see :mod:`repro.engine.memo`).
 
 The engine deliberately lives *above* the model layer: models never
 import it, so ``repro.models`` stays importable on its own.
@@ -50,14 +48,7 @@ from repro.data.loader import (
     plan_buckets,
 )
 from repro.data.schema import EMDataset, EntityPair
-from repro.engine.memo import (
-    LRUCache,
-    array_digest,
-    encoder_fingerprint,
-    pair_encoder_fingerprint,
-    scoped_key,
-    text_digest,
-)
+from repro.engine.memo import LRUCache, array_digest, text_digest
 from repro.engine.stats import EngineStats
 from repro import obs
 from repro.runs import store as runstore
@@ -78,8 +69,6 @@ class EngineConfig:
     encode_cache_size: int = 8192     # record-token LRU entries
     encoder_cache_size: int = 2048    # span encoder-output LRU entries
     record_cache_size: int = 4096     # record encoder-output LRU entries
-    memoize_encoder: bool = True      # use the encoder memo when decomposable
-    memoize_records: bool = True      # use the record memo when late-interaction
     quarantine: bool = True           # bisect failing batches, isolate poison
     quarantine_score: float = 0.0     # em_prob assigned to quarantined pairs
 
@@ -118,12 +107,6 @@ class InferenceEngine:
         self._token_cache = LRUCache(self.config.encode_cache_size)
         self._output_cache = LRUCache(self.config.encoder_cache_size)
         self._record_cache = LRUCache(self.config.record_cache_size)
-        self._memo_by_encoder: dict[str, dict[str, dict[str, int]]] = {}
-        # Identity fingerprints namespacing every cache key; computed
-        # lazily once (they hash the encoder weights) and assumed stable
-        # for the engine's lifetime, like the memo contents themselves.
-        self._model_fp: str | None = None
-        self._pair_encoder_fp: str | None = None
         self._pairs_scored = 0
         self._batches = 0
         self._token_cells = 0
@@ -151,10 +134,6 @@ class InferenceEngine:
             record_misses=self._record_cache.misses,
             wall_seconds=self._wall_seconds,
             quarantined=self._quarantined,
-            memo_by_encoder={
-                label: {cache: dict(counts) for cache, counts in caches.items()}
-                for label, caches in self._memo_by_encoder.items()
-            },
         )
 
     @property
@@ -178,37 +157,14 @@ class InferenceEngine:
         self._token_cache.hits = self._token_cache.misses = 0
         self._output_cache.hits = self._output_cache.misses = 0
         self._record_cache.hits = self._record_cache.misses = 0
-        self._memo_by_encoder = {}
-
-    # ------------------------------------------------------------------
-    # Cache identity (encoder-scoped keys, per-encoder counters)
-    # ------------------------------------------------------------------
-    def model_fingerprint(self) -> str:
-        """Identity of the model's encoder (or the model itself)."""
-        if self._model_fp is None:
-            target = getattr(self.model, "encoder", None) or self.model
-            self._model_fp = encoder_fingerprint(target)
-        return self._model_fp
-
-    def encode_fingerprint(self) -> str:
-        """Identity of the pair encoder (tokenizer + style + budget)."""
-        if self._pair_encoder_fp is None:
-            self._pair_encoder_fp = pair_encoder_fingerprint(self.encoder)
-        return self._pair_encoder_fp
-
-    def _count_memo(self, label: str, cache: str, hit: bool) -> None:
-        counter = self._memo_by_encoder.setdefault(label, {}).setdefault(
-            cache, {"hits": 0, "misses": 0})
-        counter["hits" if hit else "misses"] += 1
 
     # ------------------------------------------------------------------
     # Encoding (record-token memo)
     # ------------------------------------------------------------------
     def _cached_record_tokens(self, record) -> tuple[str, ...]:
         text = self.encoder.record_text(record)
-        key = scoped_key(self.encode_fingerprint(), text_digest(text))
+        key = text_digest(text)
         cached = self._token_cache.get(key)
-        self._count_memo(self.encode_fingerprint(), "token", cached is not None)
         if cached is None:
             cached = tuple(self.encoder.tokenizer.tokenize(text))
             self._token_cache.put(key, cached)
@@ -311,9 +267,6 @@ class InferenceEngine:
         obs.gauge("engine.pairs_per_second", stats.pairs_per_second)
         obs.gauge("engine.batches", stats.batches)
         obs.gauge("engine.quarantined", stats.quarantined)
-        for label, caches in stats.encoder_hit_rates().items():
-            for cache, rate in caches.items():
-                obs.gauge(f"engine.memo.{label}.{cache}_hit_rate", rate)
 
     def _score_rows(self, index: np.ndarray, encoded: Sequence[EncodedPair],
                     scatter, quarantined_rows: list[int]) -> None:
@@ -402,57 +355,24 @@ class InferenceEngine:
         return out
 
     # ------------------------------------------------------------------
-    # Async entry points (the serving daemon's surface)
-    # ------------------------------------------------------------------
-    async def score_encoded_async(self, encoded: Sequence[EncodedPair],
-                                  executor=None) -> dict[str, np.ndarray]:
-        """:meth:`score_encoded` off the event loop, on ``executor``.
-
-        The engine itself is synchronous CPU-bound code; this entry just
-        keeps an asyncio caller (``repro serve``) responsive while a
-        batch scores.  Callers that need serialized access to one engine
-        (memo caches are not thread-safe) pass a single-thread executor
-        — the serving daemon dedicates one per worker.
-        """
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            executor, self.score_encoded, list(encoded))
-
-    async def score_pairs_async(self, pairs: Sequence[EntityPair],
-                                dataset: EMDataset | None = None,
-                                executor=None) -> dict[str, np.ndarray]:
-        """Encode + :meth:`score_encoded` off the event loop."""
-        import asyncio
-
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            executor, lambda: self.score_pairs(list(pairs), dataset))
-
-    # ------------------------------------------------------------------
     # Forward (record-level encoder-output memoization)
     # ------------------------------------------------------------------
     def _memoizable_encoder(self) -> Module | None:
         encoder = getattr(self.model, "encoder", None)
-        if (self.config.memoize_encoder and encoder is not None
-                and getattr(encoder, "position_independent", False)
+        if (getattr(encoder, "position_independent", False)
                 and callable(getattr(encoder, "pool", None))):
             return encoder
         return None
 
-    def _late_interaction_model(self):
+    def _is_late_interaction(self) -> bool:
         model = self.model
-        if (self.config.memoize_records
-                and getattr(model, "late_interaction", False)
+        return (getattr(model, "late_interaction", False)
                 and callable(getattr(model, "record_rows", None))
                 and callable(getattr(model, "encode_records", None))
-                and callable(getattr(model, "forward_pairwise", None))):
-            return model
-        return None
+                and callable(getattr(model, "forward_pairwise", None)))
 
     def _forward(self, batch: Batch, chunk: Sequence[EncodedPair]):
-        if self._late_interaction_model() is not None:
+        if self._is_late_interaction():
             return self._late_interaction_forward(batch)
         encoder = self._memoizable_encoder()
         if encoder is None:
@@ -469,7 +389,7 @@ class InferenceEngine:
         """Score one batch through the record memo + pairwise head.
 
         Each record of every pair is resolved against the record-output
-        cache (keys scoped by encoder fingerprint); only cache misses go
+        cache (keyed by token-id digest); only cache misses go
         through the encoder, batched together, before the model's
         pairwise head (AoA + EM/ID heads for EMBA) runs on the stitched
         sequence.  The per-record outputs are padding-deterministic (see
@@ -477,22 +397,19 @@ class InferenceEngine:
         and miss paths produce bit-identical scores.
         """
         model = self.model
-        fp = self.model_fingerprint()
         rows = model.record_rows(batch)
         pending: dict[str, np.ndarray] = {}
         resolved: dict[str, np.ndarray] = {}
         keys: list[str] = []
         for ids in rows:
-            key = scoped_key(fp, array_digest(ids))
+            key = array_digest(ids)
             keys.append(key)
             if key in resolved or key in pending:
                 # Shared within this batch: the encoder work is reused
                 # even if the entry was only just queued.
                 self._record_cache.hits += 1
-                self._count_memo(fp, "record", True)
                 continue
             value = self._record_cache.get(key)
-            self._count_memo(fp, "record", value is not None)
             if value is not None:
                 resolved[key] = value
             else:
@@ -518,19 +435,15 @@ class InferenceEngine:
         ``resolved`` pins every span needed by the current batch so LRU
         eviction mid-batch cannot drop it.
         """
-        fp = self.model_fingerprint()
-        key = scoped_key(fp, array_digest(ids))
+        key = array_digest(ids)
         if key in resolved or key in pending:
             if counted:
                 # Shared within this batch: the encoder work is reused
                 # even if the entry was only just queued.
                 self._output_cache.hits += 1
-                self._count_memo(fp, "span", True)
             return key
         value = (self._output_cache.get(key) if counted
                  else self._output_cache.peek(key))
-        if counted:
-            self._count_memo(fp, "span", value is not None)
         if value is not None:
             resolved[key] = value
         else:

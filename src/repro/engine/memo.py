@@ -17,13 +17,11 @@ Three cache granularities back :class:`~repro.engine.core.InferenceEngine`:
 All are plain bounded LRUs with hit/miss counters that feed
 :class:`~repro.engine.stats.EngineStats`.
 
-Cache keys are *namespaced by encoder identity*: every key mixes in an
-:func:`encoder_fingerprint` (class + config + a digest of the actual
-weights) or a :func:`pair_encoder_fingerprint` (tokenizer vocabulary +
-serialization style + length budget).  Two encoders sharing one cache —
-as the stages of a cascade may — therefore can never collide on a
-record key, and a retrained encoder never resurrects activations cached
-for the old weights.
+Cache keys are bare content digests (:func:`text_digest`,
+:func:`array_digest`).  That is sound because every engine builds its
+own caches around one model and one pair encoder that it never
+reassigns: new weights mean a new engine (a serving hot-swap builds a
+fresh one), so a cache never outlives the weights that filled it.
 """
 
 from __future__ import annotations
@@ -89,44 +87,3 @@ def array_digest(array: np.ndarray) -> str:
     """Stable content digest of a (contiguous) integer id array."""
     data = np.ascontiguousarray(array)
     return hashlib.blake2b(data.tobytes(), digest_size=16).hexdigest()
-
-
-def encoder_fingerprint(encoder) -> str:
-    """Identity digest of an encoder module: class, shapes, and weights.
-
-    Hashing the parameter *values* (not just the config) is deliberate:
-    two same-architecture encoders at different training states must
-    occupy disjoint cache namespaces, otherwise a shared cache would
-    serve one model's activations to the other.  The digest is computed
-    once per engine construction; an engine instance assumes frozen
-    weights for its lifetime (the existing memoization contract).
-    """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(type(encoder).__name__.encode("utf-8"))
-    config = getattr(encoder, "config", None)
-    if config is not None:
-        h.update(repr(config).encode("utf-8"))
-    for name, param in getattr(encoder, "named_parameters", lambda: ())():
-        h.update(name.encode("utf-8"))
-        h.update(repr(param.data.shape).encode("utf-8"))
-        h.update(np.ascontiguousarray(param.data).tobytes())
-    return f"{type(encoder).__name__}:{h.hexdigest()}"
-
-
-def pair_encoder_fingerprint(pair_encoder) -> str:
-    """Identity digest of a :class:`~repro.data.loader.PairEncoder`.
-
-    Covers everything that changes a record's token tuple: the
-    serialization style, the truncation budget, and the tokenizer
-    vocabulary itself.
-    """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(f"{pair_encoder.style}:{pair_encoder.max_length}".encode("utf-8"))
-    vocab = pair_encoder.tokenizer.vocab
-    h.update("\n".join(vocab.tokens()).encode("utf-8"))
-    return f"tok:{h.hexdigest()}"
-
-
-def scoped_key(fingerprint: str, digest: str) -> str:
-    """Compose an encoder-scoped cache key from identity + content."""
-    return f"{fingerprint}/{digest}"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 def _hit_rate(hits: int, misses: int) -> float:
@@ -18,11 +18,10 @@ class EngineStats:
     summed over batches) while ``real_tokens`` counts unpadded positions;
     their gap is the padding the bucket scheduler failed to avoid.
 
-    ``memo_by_encoder`` breaks every memo lookup down by the encoder
-    identity that namespaced the cache key — in a cascade, each stage's
-    encoder reports its own hit/miss counters instead of disappearing
-    into an aggregate.  Keys are short encoder fingerprints; values map
-    cache names (``token``, ``span``, ``record``) to ``{hits, misses}``.
+    The three hit/miss pairs are the engine's three memo caches: record
+    tokenizations, span encoder outputs (decomposable encoders such as
+    fastText) and record encoder outputs (late-interaction models such
+    as :class:`~repro.models.emba_dual.EmbaDual`).
     """
 
     pairs_scored: int = 0
@@ -37,7 +36,6 @@ class EngineStats:
     record_misses: int = 0
     wall_seconds: float = 0.0
     quarantined: int = 0          # poison pairs isolated by batch bisection
-    memo_by_encoder: dict = field(default_factory=dict)
 
     @property
     def pad_waste_ratio(self) -> float:
@@ -63,16 +61,6 @@ class EngineStats:
         if self.wall_seconds <= 0:
             return float("inf")
         return self.pairs_scored / self.wall_seconds
-
-    def encoder_hit_rates(self) -> dict[str, dict[str, float]]:
-        """Per-encoder, per-cache hit rates derived from the raw counters."""
-        rates: dict[str, dict[str, float]] = {}
-        for label, caches in self.memo_by_encoder.items():
-            rates[label] = {
-                cache: _hit_rate(c.get("hits", 0), c.get("misses", 0))
-                for cache, c in caches.items()
-            }
-        return rates
 
     def as_dict(self) -> dict:
         """Flat dict of counters plus the derived ratios (for reports)."""

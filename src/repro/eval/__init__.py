@@ -7,7 +7,6 @@ from repro.eval.consistency import (
 )
 from repro.eval.efficiency import (
     ThroughputResult,
-    measure_cascade_throughput,
     measure_engine_throughput,
     measure_throughput,
 )
@@ -22,29 +21,22 @@ from repro.eval.metrics import (
 from repro.eval.reporting import format_table
 from repro.eval.significance import one_tailed_t_test, significance_stars
 from repro.eval.threshold import (
-    CascadeBand,
     best_f1_threshold,
-    calibrate_cascade_band,
     calibrate_model,
-    cascade_predictions,
 )
 
 __all__ = [
-    "CascadeBand",
     "ConsistencyReport",
     "ThroughputResult",
     "accuracy",
     "best_f1_threshold",
     "binary_f1",
-    "calibrate_cascade_band",
     "calibrate_model",
-    "cascade_predictions",
     "confusion",
     "consistency_report",
     "id_equality_as_matcher_f1",
     "format_table",
     "macro_f1",
-    "measure_cascade_throughput",
     "measure_engine_throughput",
     "measure_throughput",
     "micro_f1",

@@ -73,26 +73,3 @@ def measure_engine_throughput(engine: "InferenceEngine",
         "record_hit_rate": stats.record_hit_rate,
         "batches": stats.batches,
     }
-
-
-def measure_cascade_throughput(scorer, encoded: Sequence["EncodedPair"],
-                               min_seconds: float = 0.5) -> dict:
-    """Scoring throughput of a :class:`~repro.engine.cascade.CascadeScorer`.
-
-    Same protocol as :func:`measure_engine_throughput` — the warm-up pass
-    fills both stages' memo caches — plus the cascade's routing counters.
-    """
-    scorer.reset_stats()
-    result = measure_throughput(
-        lambda: len(scorer.score_encoded(encoded)["em_prob"]),
-        min_seconds=min_seconds, min_items=len(encoded),
-    )
-    stats = scorer.stats
-    return {
-        "pairs_per_second": result.items_per_second,
-        "items": result.items,
-        "seconds": result.seconds,
-        "escalate_fraction": stats.escalate_fraction,
-        "cheap_record_hit_rate": stats.cheap.record_hit_rate,
-        "full_encoder_hit_rate": stats.full.encoder_hit_rate,
-    }

@@ -3,16 +3,10 @@
 The paper (like DITTO) classifies at probability 0.5; practitioners
 usually tune the threshold on validation data to maximize F1, which
 matters under the heavy class imbalance typical of EM.  This module
-provides that calibration as a library utility, plus the escalation-band
-calibration for the staged (cheap -> full) cascade scorer: the band is
-chosen on validation data to escalate as few pairs as possible while
-keeping cascade F1 within a stated tolerance of scoring everything with
-the full model.
+provides that calibration as a library utility.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,103 +48,6 @@ def best_f1_threshold(labels: np.ndarray, probabilities: np.ndarray
         if f1 > best_f1:
             best_threshold, best_f1 = float(threshold), f1
     return best_threshold, best_f1
-
-
-@dataclass(frozen=True)
-class CascadeBand:
-    """A calibrated cheap-score escalation band and its validation stats.
-
-    Cheap probabilities in ``[low, high]`` (inclusive) are escalated to
-    the full model; ``p < low`` is routed to non-match and ``p > high``
-    to match without ever running the full model.
-    """
-
-    low: float
-    high: float
-    escalate_fraction: float   # fraction of validation pairs escalated
-    cascade_f1: float          # validation F1 of the cascaded decisions
-    full_f1: float             # validation F1 of full-model-everywhere
-
-
-def cascade_predictions(cheap_probs: np.ndarray, full_probs: np.ndarray,
-                        low: float, high: float, threshold: float = 0.5
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Cascaded decisions: returns ``(predictions, escalated_mask)``.
-
-    ``full_probs`` only matters where the mask is True, so callers that
-    already know the band may pass full scores computed on just the
-    escalated subset scattered into a full-length array.
-    """
-    cheap_probs = np.asarray(cheap_probs, dtype=np.float64)
-    full_probs = np.asarray(full_probs, dtype=np.float64)
-    escalated = (cheap_probs >= low) & (cheap_probs <= high)
-    preds = np.where(cheap_probs > high, 1, 0)
-    preds[escalated] = (full_probs[escalated] >= threshold).astype(int)
-    return preds.astype(np.int64), escalated
-
-
-def _band_edges(values: np.ndarray, limit: int = 48) -> np.ndarray:
-    """Candidate band edges: midpoints between distinct scores, capped."""
-    distinct = np.unique(values)
-    if distinct.size < 2:
-        return distinct
-    mids = (distinct[:-1] + distinct[1:]) / 2
-    if mids.size > limit:
-        mids = mids[np.linspace(0, mids.size - 1, limit).round().astype(int)]
-    return mids
-
-
-def calibrate_cascade_band(labels: np.ndarray, cheap_probs: np.ndarray,
-                           full_probs: np.ndarray, *,
-                           tolerance: float = 0.01,
-                           threshold: float = 0.5) -> CascadeBand:
-    """Pick the escalation band minimizing full-model work on validation.
-
-    Scans candidate ``(low, high)`` bands (midpoints between distinct
-    cheap scores on each side of ``threshold``) and returns the band
-    escalating the fewest pairs whose cascaded F1 stays within
-    ``tolerance`` (absolute) of scoring every pair with the full model.
-    The all-escalate band ``(0, 1)`` is always a candidate, so the
-    returned band is always feasible; ties prefer fewer escalations,
-    then the wider band (safer on unseen data).
-    """
-    labels = np.asarray(labels).astype(int)
-    cheap_probs = np.asarray(cheap_probs, dtype=np.float64)
-    full_probs = np.asarray(full_probs, dtype=np.float64)
-    if labels.shape != cheap_probs.shape or labels.shape != full_probs.shape:
-        raise ValueError("labels/cheap_probs/full_probs shapes differ")
-    if labels.size == 0:
-        return CascadeBand(0.0, 1.0, 0.0, 0.0, 0.0)
-
-    _, _, full_f1 = precision_recall_f1(
-        labels, (full_probs >= threshold).astype(int))
-    lows = np.concatenate(
-        ([0.0], _band_edges(cheap_probs[cheap_probs < threshold]),
-         [threshold]))
-    highs = np.concatenate(
-        ([threshold], _band_edges(cheap_probs[cheap_probs >= threshold]),
-         [1.0]))
-
-    best: CascadeBand | None = None
-    for low in lows:
-        for high in highs:
-            if low > high:
-                continue
-            preds, escalated = cascade_predictions(
-                cheap_probs, full_probs, low, high, threshold)
-            _, _, f1 = precision_recall_f1(labels, preds)
-            if f1 < full_f1 - tolerance:
-                continue
-            fraction = float(escalated.mean())
-            width = high - low
-            if (best is None or fraction < best.escalate_fraction
-                    or (fraction == best.escalate_fraction
-                        and width > best.high - best.low)):
-                best = CascadeBand(float(low), float(high), fraction,
-                                   f1, full_f1)
-    if best is None:  # numerically impossible (0,1) reproduces full_f1
-        best = CascadeBand(0.0, 1.0, 1.0, full_f1, full_f1)
-    return best
 
 
 def calibrate_model(model, encoded_valid, batch_size: int = 32) -> float:

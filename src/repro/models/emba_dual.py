@@ -20,7 +20,7 @@ every reduction over the token axis (AoA softmaxes and sums, the
 token-aggregation heads) sees a width that is a function of the pair
 alone, not of its batch neighbours.  The engine's memo hit and miss
 paths (and the naive per-pair recompute) consequently agree exactly,
-not just to tolerance — see ``tests/test_cascade.py``.
+not just to tolerance — see ``tests/test_engine.py``.
 
 Like every matcher here, the class is encoder-agnostic: a BERT preset
 gives the true dual-encoder, while a decomposable encoder (fastText)

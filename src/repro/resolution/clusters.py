@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-import networkx as nx
+from repro.data.clustering import connected_components
 
 
 @dataclass
@@ -38,40 +38,50 @@ class Resolution:
 
 def _edge_sort_key(edge: tuple) -> tuple:
     """Deterministic total order on weighted edges: weight, then the
-    canonical (sorted, stringified) endpoint pair.
-
-    ``min`` over edges previously tie-broke by networkx adjacency-dict
-    iteration order, which depends on node/edge insertion history — the
-    same scored graph built in a different arrival order could shed a
-    different edge and split an oversized cluster differently.
+    canonical (sorted, stringified) endpoint pair, so the weakest edge of
+    a component does not depend on the order edges arrived in.
     """
     u, v, weight = edge
     a, b = sorted((str(u), str(v)))
     return (weight, a, b)
 
 
-def _split_oversized(graph: nx.Graph, max_size: int) -> None:
-    """Drop weakest edges of components exceeding ``max_size`` (in place).
+def _with_edges(nodes: Iterable[Hashable], edges: list[tuple]
+                ) -> list[tuple[set, list[tuple]]]:
+    """Connected components of ``nodes`` + ``edges``, each paired with
+    the weighted edges inside it."""
+    components = connected_components(nodes, ((u, v) for u, v, _ in edges))
+    index = {node: i for i, component in enumerate(components)
+             for node in component}
+    inside: list[list[tuple]] = [[] for _ in components]
+    for edge in edges:
+        inside[index[edge[0]]].append(edge)
+    return list(zip(components, inside))
 
-    Deterministic: the weakest edge of a component is unique under
-    :func:`_edge_sort_key`, and components are disjoint, so the result
-    is independent of node/edge insertion order.
+
+def _split_oversized(parts: list[tuple[set, list[tuple]]],
+                     max_size: int) -> list[set]:
+    """Drop weakest edges of components exceeding ``max_size``.
+
+    An oversized component sheds its weakest edge under
+    :func:`_edge_sort_key` until it falls apart, then each part is
+    handled the same way.  Components share no edges, so the result is
+    independent of node/edge insertion order.
     """
-    changed = True
-    while changed:
-        changed = False
-        for component in list(nx.connected_components(graph)):
-            if len(component) <= max_size:
-                continue
-            sub_edges = [
-                (u, v, d.get("weight", 1.0))
-                for u, v, d in graph.subgraph(component).edges(data=True)
-            ]
-            if not sub_edges:
-                continue
-            weakest = min(sub_edges, key=_edge_sort_key)
-            graph.remove_edge(weakest[0], weakest[1])
-            changed = True
+    done: list[set] = []
+    while parts:
+        component, edges = parts.pop()
+        if len(component) <= max_size:
+            done.append(component)
+            continue
+        edges = sorted(edges, key=_edge_sort_key)
+        # Dropping every edge always splits: len(component) >= 2.
+        for dropped in range(1, len(edges) + 1):
+            split = _with_edges(component, edges[dropped:])
+            if len(split) > 1:
+                break
+        parts.extend(split)
+    return done
 
 
 def resolve_clusters(records: Sequence[Hashable],
@@ -85,23 +95,28 @@ def resolve_clusters(records: Sequence[Hashable],
     records:
         All records to place (unmatched ones become singletons).
     scored_pairs:
-        ``(record_a, record_b, probability)`` triples.
+        ``(record_a, record_b, probability)`` triples.  A repeated pair
+        (in either orientation) keeps its last confident probability.
     threshold:
         Minimum probability for an edge.
     max_cluster_size:
         If given, over-merged components shed their weakest edges until
         no component exceeds this size (transitivity repair).
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(records)
+    weights: dict[tuple, float] = {}
     for a, b, prob in scored_pairs:
         if prob >= threshold:
-            graph.add_edge(a, b, weight=prob)
-    if max_cluster_size is not None:
+            weights.pop((b, a), None)
+            weights[(a, b)] = prob
+    edges = [(a, b, prob) for (a, b), prob in weights.items()]
+    if max_cluster_size is None:
+        clusters = connected_components(records,
+                                        ((a, b) for a, b, _ in edges))
+    else:
         if max_cluster_size < 1:
             raise ValueError("max_cluster_size must be >= 1")
-        _split_oversized(graph, max_cluster_size)
-    clusters = [set(c) for c in nx.connected_components(graph)]
+        clusters = _split_oversized(_with_edges(records, edges),
+                                    max_cluster_size)
     clusters.sort(key=lambda c: (-len(c), sorted(map(str, c))))
     return Resolution(clusters=clusters)
 

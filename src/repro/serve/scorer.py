@@ -2,16 +2,15 @@
 
 :class:`MatchScorer` is what actually scores a micro-batch.  It owns a
 model plus the engine built around it (an
-:class:`~repro.engine.core.InferenceEngine` or a
-:class:`~repro.engine.cascade.CascadeScorer` — anything with
+:class:`~repro.engine.core.InferenceEngine`, or anything with
 ``score_pairs``) and knows how to *hot-swap* weights: a swap deep-copies
 the current model, loads the new state dict into the copy, and rebuilds
 the engine around it.  The old model/engine pair is left untouched, so a
 batch already executing against it finishes with consistent weights —
 requests are scored by exactly one model version, never a half-loaded
 one.  Rebuilding the engine (rather than mutating the model in place)
-also retires the memo caches, whose keys are namespaced by a weight
-fingerprint the engine computes once.
+also retires the memo caches, whose content-digest keys are only valid
+for the weights that filled them.
 
 Scorers run one per serving worker: in-process for ``shards=0``, one
 per forked worker process otherwise (see :mod:`repro.serve.workers`).
@@ -38,8 +37,8 @@ class MatchScorer:
         ``engine_factory(model) -> engine`` where the engine exposes
         ``score_pairs(pairs) -> {"em_prob", "em_pred", ...}``.  Called
         once at construction and once per swap (with the freshly loaded
-        model), so cascade stages, cache sizing, and thresholds are the
-        factory's policy.
+        model), so cache sizing and thresholds are the factory's
+        policy.
     model:
         The initially served model (the swap template).
     """

@@ -3,8 +3,8 @@
 The incremental counterpart of the batch ``blocking -> scoring ->
 resolution`` pipeline: records arrive one at a time, an incremental
 MinHash-LSH index emits only the *new* candidate pairs each arrival
-creates, a scorer (the inference engine, a cascade, or the cheap
-Jaccard stage) scores them in bounded batches, and an incremental
+creates, a scorer (the inference engine or the cheap Jaccard
+stage) scores them in bounded batches, and an incremental
 union-find cluster store folds confident edges into the entity
 partition — all journaled through a checksummed write-ahead log so a
 ``kill -9`` at any point recovers, byte-identically, to the state an

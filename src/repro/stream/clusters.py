@@ -1,4 +1,4 @@
-"""Crash-safe incremental cluster store: union-find, no networkx.
+"""Crash-safe incremental cluster store over the shared union-find.
 
 The streaming counterpart of :func:`repro.resolution.resolve_clusters`:
 records register as singletons, confident edges union their components,
@@ -7,72 +7,36 @@ equal to the batch resolver on the same edge set — connected components
 are arrival-order invariant, so feeding the same scored edges in any
 order (including a crash-replay order) yields the identical partition.
 
-The hot path is a dict-backed union-find with path halving and
-union-by-size: O(alpha(n)) per edge, no graph library, no re-clustering
-of the world per arrival.  Serialization is canonical (sorted cluster
-member lists), so a snapshot taken after replay is byte-identical to
-one from an uninterrupted run.
+The hot path is :class:`repro.data.clustering.UnionFind` (path halving,
+union by size): O(alpha(n)) per edge, no re-clustering of the world per
+arrival.  Serialization is canonical (sorted cluster member lists), so
+a snapshot taken after replay is byte-identical to one from an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable
 
+from repro.data.clustering import UnionFind
 from repro.resolution.clusters import Resolution
 
 
-class StreamClusterStore:
+class StreamClusterStore(UnionFind):
     """Incremental connected-components partition over record keys."""
 
     def __init__(self) -> None:
-        self._parent: dict[str, str] = {}
-        self._size: dict[str, int] = {}
+        super().__init__()
         self.edges_applied = 0
         self.merges = 0
 
-    # ------------------------------------------------------------------
-    # Core union-find
-    # ------------------------------------------------------------------
-    def add(self, key: str) -> None:
-        """Register ``key`` as a singleton (idempotent)."""
-        if key not in self._parent:
-            self._parent[key] = key
-            self._size[key] = 1
-
-    def find(self, key: str) -> str:
-        """Root of ``key``'s component (path halving)."""
-        parent = self._parent
-        while parent[key] != key:
-            parent[key] = parent[parent[key]]
-            key = parent[key]
-        return key
-
     def union(self, a: str, b: str) -> bool:
         """Merge the components of ``a`` and ``b``; True if they were
-        separate.  Unknown keys are registered first."""
-        self.add(a)
-        self.add(b)
-        root_a, root_b = self.find(a), self.find(b)
+        separate.  Counts every edge and every merge."""
         self.edges_applied += 1
-        if root_a == root_b:
-            return False
-        if self._size[root_a] < self._size[root_b]:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        self._size[root_a] += self._size[root_b]
-        self.merges += 1
-        return True
-
-    def connected(self, a: str, b: str) -> bool:
-        if a not in self._parent or b not in self._parent:
-            return False
-        return self.find(a) == self.find(b)
-
-    def __len__(self) -> int:
-        return len(self._parent)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._parent
+        merged = super().union(a, b)
+        self.merges += merged
+        return merged
 
     # ------------------------------------------------------------------
     # Canonical views (parity with the batch resolver)
@@ -80,10 +44,7 @@ class StreamClusterStore:
     def clusters(self) -> list[set[str]]:
         """Components in the batch resolver's canonical order:
         largest first, ties by sorted stringified members."""
-        by_root: dict[str, set[str]] = {}
-        for key in self._parent:
-            by_root.setdefault(self.find(key), set()).add(key)
-        out = list(by_root.values())
+        out = self.components()
         out.sort(key=lambda c: (-len(c), sorted(map(str, c))))
         return out
 
@@ -109,17 +70,10 @@ class StreamClusterStore:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._parent = {}
-        self._size = {}
+        UnionFind.__init__(self)
         for members in state["clusters"]:
-            first = members[0]
-            self.add(first)
-            for other in members[1:]:
-                self.add(other)
-                root_a, root_b = self.find(first), self.find(other)
-                if root_a != root_b:
-                    self._parent[root_b] = root_a
-                    self._size[root_a] += self._size[root_b]
+            for other in members:    # uncounted: restores, not new edges
+                UnionFind.union(self, members[0], other)
         self.edges_applied = int(state.get("edges_applied", 0))
         self.merges = int(state.get("merges", 0))
 

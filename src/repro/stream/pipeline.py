@@ -7,7 +7,7 @@
    returns only the candidate pairs this arrival newly created;
 2. new candidates join a bounded *pending* queue; once
    ``score_batch`` pairs are pending, the batch is scored through the
-   configured scorer (inference engine, cascade, or the cheap
+   configured scorer (inference engine or the cheap
    :class:`JaccardScorer`) and each result is journaled as a ``scored``
    op before being folded into the
    :class:`~repro.stream.clusters.StreamClusterStore`;
@@ -72,9 +72,9 @@ class StreamConfig:
 class JaccardScorer:
     """Cheap deterministic scorer: token-set Jaccard as match probability.
 
-    The zero-dependency stage for high-rate ingest benchmarks and for
-    cascades whose cheap stage absorbs the stream; exposes the same
-    ``score_pairs -> {"em_prob", "em_pred"}`` surface as the engine.
+    The zero-dependency scorer for high-rate ingest benchmarks; exposes
+    the same ``score_pairs -> {"em_prob", "em_pred"}`` surface as the
+    engine.
     """
 
     def __init__(self, threshold: float = 0.5):
@@ -113,8 +113,7 @@ class StreamPipeline:
         snapshot/WAL, the pipeline recovers from it at construction.
     scorer:
         Anything exposing ``score_pairs(pairs) -> {"em_prob": ...}`` —
-        an :class:`~repro.engine.core.InferenceEngine`, a
-        :class:`~repro.engine.cascade.CascadeScorer`, or
+        an :class:`~repro.engine.core.InferenceEngine` or
         :class:`JaccardScorer`.
     """
 

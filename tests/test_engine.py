@@ -18,7 +18,7 @@ from repro.data.schema import EntityPair, EntityRecord
 from repro.engine import EngineConfig, EngineStats, InferenceEngine, LRUCache
 from repro.explain.lime import LimeExplainer
 from repro.fasttext import FastTextEncoder
-from repro.models import Emba
+from repro.models import Emba, EmbaDual
 from repro.models.base import EMModel, EMOutput
 from repro.nn.module import Parameter
 from repro.nn.tensor import Tensor, is_grad_enabled
@@ -77,6 +77,15 @@ def fasttext_model(tokenizer):
     hasher = SubwordHasher(num_buckets=256)
     ft = FastTextEncoder(tokenizer.vocab, hasher, 24, np.random.default_rng(2))
     model = Emba(ft, 24, 4, np.random.default_rng(3))
+    model.eval()
+    return model
+
+
+@pytest.fixture(scope="module")
+def dual_model(tokenizer):
+    cfg = CFG.with_vocab(len(tokenizer.vocab))
+    bert = BertModel(cfg, np.random.default_rng(0))
+    model = EmbaDual(bert, cfg.hidden_size, 4, np.random.default_rng(1))
     model.eval()
     return model
 
@@ -162,19 +171,19 @@ class TestScoringEquivalence:
         np.testing.assert_array_equal(out["labels"],
                                       [p.label for p in pairs])
 
-    def test_fasttext_memoized_matches_unmemoized(self, fasttext_model, encoder):
+    def test_fasttext_memoized_matches_per_pair(self, fasttext_model, encoder):
         rng = np.random.default_rng(11)
         pairs = _random_pairs(rng, num_records=6, num_pairs=25)
-        plain = InferenceEngine(fasttext_model, encoder, EngineConfig(
-            batch_size=8, memoize_encoder=False))
-        memo = InferenceEngine(fasttext_model, encoder, EngineConfig(
-            batch_size=8, memoize_encoder=True))
-        expected = plain.score_pairs(pairs)["em_prob"]
+        expected = np.concatenate([
+            fasttext_model.predict(collate([encoder.encode(p)]))["em_prob"]
+            for p in pairs
+        ])
+        memo = InferenceEngine(fasttext_model, encoder,
+                               EngineConfig(batch_size=8))
         got = memo.score_pairs(pairs)["em_prob"]
         np.testing.assert_allclose(got, expected, atol=1e-6)
         stats = memo.stats
         assert stats.encoder_hits > 0
-        assert plain.stats.encoder_hits == plain.stats.encoder_misses == 0
         # The memo must survive the restore: the model still owns its
         # real encoder after scoring.
         assert fasttext_model.encoder.position_independent
@@ -192,6 +201,67 @@ class TestScoringEquivalence:
         out = engine.score_encoded([])
         assert out["em_prob"].shape == (0,)
         assert out["em_pred"].shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# Dual-encoder output is bit-identical to the naive per-pair recompute,
+# through both memo miss and memo hit paths.
+# ----------------------------------------------------------------------
+class TestDualEncoderParity:
+    @pytest.mark.parametrize("seed,batch_size", [(0, 1), (1, 4), (2, 16)])
+    def test_engine_bitwise_equals_naive(self, dual_model, encoder,
+                                         seed, batch_size):
+        rng = np.random.default_rng(seed)
+        pairs = _random_pairs(rng)
+        naive = np.concatenate([
+            dual_model.predict(collate([encoder.encode(p)]))["em_prob"]
+            for p in pairs
+        ])
+        engine = InferenceEngine(dual_model, encoder,
+                                 EngineConfig(batch_size=batch_size))
+        cold = engine.score_pairs(pairs)   # record cache empty: miss path
+        warm = engine.score_pairs(pairs)   # record cache full: hit path
+        np.testing.assert_array_equal(cold["em_prob"], naive)
+        np.testing.assert_array_equal(warm["em_prob"], naive)
+        # ID heads ride the same stitched sequence: identical too.
+        np.testing.assert_array_equal(cold["id1_pred"], warm["id1_pred"])
+        np.testing.assert_array_equal(cold["id2_pred"], warm["id2_pred"])
+
+    def test_training_forward_matches_engine(self, dual_model, encoder):
+        """model(batch) (the training path) agrees with the engine."""
+        rng = np.random.default_rng(3)
+        pairs = _random_pairs(rng, num_pairs=9)
+        batch = collate([encoder.encode(p) for p in pairs])
+        direct = dual_model.predict(batch)["em_prob"]
+        engine = InferenceEngine(dual_model, encoder,
+                                 EngineConfig(batch_size=4))
+        np.testing.assert_array_equal(engine.score_pairs(pairs)["em_prob"],
+                                      direct)
+
+    def test_record_memo_bitwise_equals_per_pair(self, dual_model, encoder):
+        rng = np.random.default_rng(4)
+        pairs = _random_pairs(rng, num_pairs=11)
+        naive = np.concatenate([
+            dual_model.predict(collate([encoder.encode(p)]))["em_prob"]
+            for p in pairs
+        ])
+        on = InferenceEngine(dual_model, encoder,
+                             EngineConfig(batch_size=4))
+        np.testing.assert_array_equal(on.score_pairs(pairs)["em_prob"],
+                                      naive)
+        assert on.stats.record_misses > 0
+
+    def test_record_memo_hits_on_blocking_shape(self, dual_model, encoder):
+        """Each record in many pairs => far fewer encodes than 2x pairs."""
+        rng = np.random.default_rng(5)
+        pairs = _random_pairs(rng, num_records=5, num_pairs=30)
+        engine = InferenceEngine(dual_model, encoder,
+                                 EngineConfig(batch_size=8))
+        engine.score_pairs(pairs)
+        stats = engine.stats
+        assert stats.record_hits + stats.record_misses == 2 * len(pairs)
+        assert stats.record_misses <= 2 * 5 * 2   # ~records x few lengths
+        assert stats.record_hit_rate > 0.5
 
 
 # ----------------------------------------------------------------------

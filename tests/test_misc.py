@@ -1,8 +1,15 @@
-"""Tests for remaining utilities: RandomState, corpus builder, throughput."""
+"""Tests for remaining utilities: RandomState, corpus builder, throughput,
+import layering."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.data.registry import load_dataset
 from repro.nn.random import RandomState, seed_all
 from repro.text.corpus import build_corpus
@@ -61,3 +68,26 @@ class TestModelThroughput:
         result = measure_model_throughput("deepmatcher", min_seconds=0.05)
         assert result["train_pairs_per_s"] > 0
         assert result["infer_pairs_per_s"] > result["train_pairs_per_s"]
+
+
+class TestImportLayering:
+    """Importing a subsystem loads only what it uses, in a fresh process."""
+
+    @staticmethod
+    def _loaded_after(module: str, *probes: str) -> list[str]:
+        code = (f"import sys, {module}; "
+                f"print(*[m for m in {probes!r} if m in sys.modules])")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        return proc.stdout.split()
+
+    def test_engine_loads_no_eval_or_scipy_stats(self):
+        assert self._loaded_after("repro.engine", "repro.eval",
+                                  "scipy.stats") == []
+
+    @pytest.mark.parametrize("module", ["repro.data", "repro.resolution",
+                                        "repro.stream"])
+    def test_clustering_loads_no_networkx(self, module):
+        assert self._loaded_after(module, "networkx") == []
