@@ -3,7 +3,8 @@
 Scores a blocking-shaped workload (token-blocking candidates, so the
 same record recurs across many pairs) through the unified engine and
 through the legacy fixed-batch loop, asserting the engine is faster,
-reports a nonzero memo hit rate, and produces identical predictions.
+reports nonzero tokenization-memo and token-table hit rates, and
+produces identical predictions.
 """
 
 import pytest
@@ -23,6 +24,7 @@ def test_engine_speedup_over_naive(benchmark, model_name, request):
     # prediction parity with the naive path.
     assert report["speedup"] > 1.0
     assert report["stats"]["encode_hit_rate"] > 0.0
+    assert report["stats"]["encoder_hit_rate"] > 0.0   # token table
     assert report["max_abs_diff"] <= 1e-6
     # Bucketing keeps padding waste below the naive arrival-order level.
     assert report["stats"]["pad_waste_ratio"] < 0.25
@@ -33,7 +35,8 @@ def test_engine_speedup_over_naive(benchmark, model_name, request):
                  infer_pairs_per_s=scored / report["engine_seconds"]
                  if report["engine_seconds"] else 0.0,
                  pad_waste_ratio=report["stats"]["pad_waste_ratio"],
-                 encode_hit_rate=report["stats"]["encode_hit_rate"])
+                 encode_hit_rate=report["stats"]["encode_hit_rate"],
+                 encoder_hit_rate=report["stats"]["encoder_hit_rate"])
 
     path = RESULTS_DIR / "ext_engine.txt"
     header = ("Extension: unified inference engine vs naive scoring "

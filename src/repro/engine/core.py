@@ -13,10 +13,11 @@ where the same record appears in many candidate pairs:
 - serialized-record tokenizations are cached by content digest for any
   model (wordpiece tokenization is the dominant encode cost);
 - for *decomposable* encoders — those marked ``position_independent``,
-  whose per-token outputs do not depend on surrounding tokens (e.g.
-  :class:`~repro.fasttext.model.FastTextEncoder`) — per-record encoder
-  activations are cached and stitched into full sequences, skipping the
-  encoder forward entirely on hits;
+  whose output at each position depends on that position's token id
+  alone (e.g. :class:`~repro.fasttext.model.FastTextEncoder`) — a dense
+  per-token-id table holds the encoder output of every id seen so far;
+  each batch encodes only its unseen ids and gathers its sequences from
+  the table;
 - for *late-interaction* models — those marked ``late_interaction``,
   which encode each record independently and run only a cheap pairwise
   head at pair time (e.g. :class:`~repro.models.emba_dual.EmbaDual`) —
@@ -24,8 +25,8 @@ where the same record appears in many candidate pairs:
   candidate pairs pays for exactly one encoder forward, turning
   O(pairs) forwards into O(records) + the pairwise head.
 
-Cache keys are bare content digests: an engine's model and pair encoder
-are fixed for its lifetime (see :mod:`repro.engine.memo`).
+Memo keys are bare content digests or token ids: an engine's model and
+pair encoder are fixed for its lifetime (see :mod:`repro.engine.memo`).
 
 The engine deliberately lives *above* the model layer: models never
 import it, so ``repro.models`` stays importable on its own.
@@ -66,22 +67,51 @@ class EngineConfig:
     batch_size: int = 32
     max_pad_waste: float = 0.25       # bucket cut threshold (fraction padded)
     threshold: float = 0.5            # match decision boundary for em_pred
-    encode_cache_size: int = 8192     # record-token LRU entries
-    encoder_cache_size: int = 2048    # span encoder-output LRU entries
     record_cache_size: int = 4096     # record encoder-output LRU entries
     quarantine: bool = True           # bisect failing batches, isolate poison
     quarantine_score: float = 0.0     # em_prob assigned to quarantined pairs
 
 
-class _PrecomputedEncoder(Module):
-    """Stand-in encoder returning one prepared output (memo-hit path)."""
+ENCODE_CACHE_SIZE = 8192              # record-token LRU entries
 
-    def __init__(self, output: BertOutput):
+
+class _TokenTable(Module):
+    """Stand-in for a ``position_independent`` encoder: a token-id table.
+
+    Row ``i`` of ``table`` is the encoder's output for token id ``i``,
+    filled the first time a batch contains ``i``.  A position's output
+    depends on its token id alone, so ``table[input_ids]`` is the
+    encoder's sequence output.  Rows are written only after the real
+    encoder call succeeds, so a failing batch leaves no partial rows.
+    """
+
+    def __init__(self, encoder: Module):
         super().__init__()
-        self._output = output
+        self.encoder = encoder
+        self.table: np.ndarray | None = None    # (vocab_size, hidden_size)
+        self.known = np.zeros(encoder.vocab_size, dtype=bool)
+        self.hits = 0           # distinct token ids per batch, already known
+        self.misses = 0         # distinct token ids per batch, encoded now
 
-    def forward(self, *args, **kwargs) -> BertOutput:
-        return self._output
+    def forward(self, input_ids: np.ndarray, attention_mask: np.ndarray,
+                segment_ids: np.ndarray | None = None) -> BertOutput:
+        ids = np.unique(input_ids)
+        missing = ids[~self.known[ids]]
+        self.hits += len(ids) - len(missing)
+        self.misses += len(missing)
+        if len(missing):
+            out = self.encoder(missing[None, :],
+                               np.ones((1, len(missing)), dtype=np.float32),
+                               np.zeros((1, len(missing)), dtype=np.int64))
+            rows = out.sequence.data[0]
+            if self.table is None:
+                self.table = np.zeros((len(self.known), rows.shape[-1]),
+                                      dtype=rows.dtype)
+            self.table[missing] = rows
+            self.known[missing] = True
+        sequence = Tensor(self.table[input_ids])
+        pooled = self.encoder.pool(sequence, attention_mask)
+        return BertOutput(sequence=sequence, pooled=pooled, attentions=[])
 
 
 class InferenceEngine:
@@ -104,8 +134,8 @@ class InferenceEngine:
         self.model = model
         self.encoder = encoder
         self.config = config or EngineConfig()
-        self._token_cache = LRUCache(self.config.encode_cache_size)
-        self._output_cache = LRUCache(self.config.encoder_cache_size)
+        self._token_cache = LRUCache(ENCODE_CACHE_SIZE)
+        self._token_table: _TokenTable | None = None
         self._record_cache = LRUCache(self.config.record_cache_size)
         self._pairs_scored = 0
         self._batches = 0
@@ -121,6 +151,7 @@ class InferenceEngine:
     @property
     def stats(self) -> EngineStats:
         """A snapshot of everything this engine has done since reset."""
+        table = self._token_table
         return EngineStats(
             pairs_scored=self._pairs_scored,
             batches=self._batches,
@@ -128,8 +159,8 @@ class InferenceEngine:
             real_tokens=self._real_tokens,
             encode_hits=self._token_cache.hits,
             encode_misses=self._token_cache.misses,
-            encoder_hits=self._output_cache.hits,
-            encoder_misses=self._output_cache.misses,
+            encoder_hits=table.hits if table else 0,
+            encoder_misses=table.misses if table else 0,
             record_hits=self._record_cache.hits,
             record_misses=self._record_cache.misses,
             wall_seconds=self._wall_seconds,
@@ -155,7 +186,8 @@ class InferenceEngine:
         self._quarantined = 0
         self._quarantine_log = []
         self._token_cache.hits = self._token_cache.misses = 0
-        self._output_cache.hits = self._output_cache.misses = 0
+        if self._token_table is not None:
+            self._token_table.hits = self._token_table.misses = 0
         self._record_cache.hits = self._record_cache.misses = 0
 
     # ------------------------------------------------------------------
@@ -282,7 +314,7 @@ class InferenceEngine:
         try:
             with obs.span("engine.forward", rows=len(index),
                           max_len=batch.input_ids.shape[1]):
-                output = self._forward(batch, chunk)
+                output = self._forward(batch)
         except AssertionError:
             raise
         except Exception as exc:
@@ -333,29 +365,8 @@ class InferenceEngine:
         """Just the match probabilities, in input order."""
         return self.score_pairs(pairs, dataset)["em_prob"]
 
-    def predict_proba_grouped(self, groups: Sequence[Sequence[EntityPair]],
-                              dataset: EMDataset | None = None
-                              ) -> list[np.ndarray]:
-        """Match probabilities for nested pair groups, one bucketed pass.
-
-        The masked-rescoring path of the explain suite scores many small
-        variant groups (one per original pair: the unmasked base plus
-        its masked perturbations).  Scoring group-by-group would forfeit
-        the length-bucketed scheduler and the record memo across groups;
-        this flattens everything into a single :meth:`score_encoded`
-        call and splits the probabilities back along group boundaries.
-        """
-        flat = [pair for group in groups for pair in group]
-        probs = self.predict_proba(flat, dataset)
-        out: list[np.ndarray] = []
-        cursor = 0
-        for group in groups:
-            out.append(probs[cursor:cursor + len(group)])
-            cursor += len(group)
-        return out
-
     # ------------------------------------------------------------------
-    # Forward (record-level encoder-output memoization)
+    # Forward (encoder-output memoization)
     # ------------------------------------------------------------------
     def _memoizable_encoder(self) -> Module | None:
         encoder = getattr(self.model, "encoder", None)
@@ -371,19 +382,19 @@ class InferenceEngine:
                 and callable(getattr(model, "encode_records", None))
                 and callable(getattr(model, "forward_pairwise", None)))
 
-    def _forward(self, batch: Batch, chunk: Sequence[EncodedPair]):
+    def _forward(self, batch: Batch):
         if self._is_late_interaction():
             return self._late_interaction_forward(batch)
         encoder = self._memoizable_encoder()
         if encoder is None:
             return self.model(batch)
-        bert_out = self._assemble_encoder_output(encoder, batch, chunk)
-        real = self.model.encoder
-        self.model.encoder = _PrecomputedEncoder(bert_out)
+        if self._token_table is None:
+            self._token_table = _TokenTable(encoder)
+        self.model.encoder = self._token_table
         try:
             return self.model(batch)
         finally:
-            self.model.encoder = real
+            self.model.encoder = encoder
 
     def _late_interaction_forward(self, batch: Batch):
         """Score one batch through the record memo + pairwise head.
@@ -424,87 +435,3 @@ class InferenceEngine:
                 self._record_cache.put(key, value)
         parts = [Tensor(resolved[key]) for key in keys]
         return model.forward_pairwise(parts, batch)
-
-    def _span_output(self, ids: np.ndarray, counted: bool,
-                     pending: dict[str, np.ndarray],
-                     resolved: dict[str, np.ndarray]) -> str:
-        """Resolve or queue one span; return its cache key.
-
-        ``counted`` spans (the two record bodies) feed the hit/miss
-        stats; special-token and padding spans are cached silently.
-        ``resolved`` pins every span needed by the current batch so LRU
-        eviction mid-batch cannot drop it.
-        """
-        key = array_digest(ids)
-        if key in resolved or key in pending:
-            if counted:
-                # Shared within this batch: the encoder work is reused
-                # even if the entry was only just queued.
-                self._output_cache.hits += 1
-            return key
-        value = (self._output_cache.get(key) if counted
-                 else self._output_cache.peek(key))
-        if value is not None:
-            resolved[key] = value
-        else:
-            pending[key] = ids
-        return key
-
-    def _assemble_encoder_output(self, encoder: Module, batch: Batch,
-                                 chunk: Sequence[EncodedPair]) -> BertOutput:
-        """Stitch per-record cached activations into a full batch output.
-
-        Valid because a ``position_independent`` encoder's output at each
-        position depends only on that position's token id, so a record's
-        span activations are identical whether the record is encoded
-        alone or packed into a pair.
-        """
-        pending: dict[str, np.ndarray] = {}
-        resolved: dict[str, np.ndarray] = {}
-        row_keys: list[list[tuple[str, int]]] = []
-        for e in chunk:
-            n1 = int(e.mask1.sum())
-            n2 = int(e.mask2.sum())
-            ids = e.input_ids
-            bounds = [(0, 1, False), (1, 1 + n1, True),
-                      (1 + n1, 2 + n1, False), (2 + n1, 2 + n1 + n2, True),
-                      (2 + n1 + n2, 3 + n1 + n2, False)]
-            keys = []
-            for lo, hi, counted in bounds:
-                if hi > lo:
-                    keys.append((self._span_output(ids[lo:hi], counted,
-                                                   pending, resolved), hi - lo))
-            row_keys.append(keys)
-
-        pad_key = self._span_output(np.zeros(1, dtype=np.int64), False,
-                                    pending, resolved)
-
-        if pending:
-            miss_keys = list(pending)
-            spans = [pending[k] for k in miss_keys]
-            max_len = max(len(s) for s in spans)
-            ids = np.zeros((len(spans), max_len), dtype=np.int64)
-            mask = np.zeros((len(spans), max_len), dtype=np.float32)
-            for i, span in enumerate(spans):
-                ids[i, :len(span)] = span
-                mask[i, :len(span)] = 1.0
-            out = encoder(ids, mask, np.zeros_like(ids))
-            seq = out.sequence.data
-            for i, key in enumerate(miss_keys):
-                value = seq[i, :len(spans[i])].copy()
-                resolved[key] = value
-                self._output_cache.put(key, value)
-
-        batch_size, max_len = batch.input_ids.shape
-        pad_vec = resolved[pad_key]
-        hidden = pad_vec.shape[-1]
-        sequence = np.empty((batch_size, max_len, hidden), dtype=pad_vec.dtype)
-        sequence[:] = pad_vec[0]
-        for row, keys in enumerate(row_keys):
-            cursor = 0
-            for key, length in keys:
-                sequence[row, cursor:cursor + length] = resolved[key]
-                cursor += length
-        seq_tensor = Tensor(sequence)
-        pooled = encoder.pool(seq_tensor, batch.attention_mask)
-        return BertOutput(sequence=seq_tensor, pooled=pooled, attentions=[])

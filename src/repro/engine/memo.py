@@ -1,27 +1,29 @@
 """LRU memoization primitives for the inference engine.
 
-Three cache granularities back :class:`~repro.engine.core.InferenceEngine`:
+Three memo granularities back :class:`~repro.engine.core.InferenceEngine`:
 
 - a *record token* cache mapping the content digest of a serialized
   record to its wordpiece token tuple (tokenization is pure Python and
   dominates encode cost when the same record appears in many candidate
   pairs, as blocking output does);
-- a *span encoder-output* cache mapping the digest of a record's token
-  ids to that span's encoder activations, valid only for decomposable
-  (position-independent) encoders;
+- a *token table* (in :mod:`repro.engine.core`, no LRU) holding the
+  encoder output of every token id seen so far, valid only for
+  decomposable (position-independent) encoders and bounded by their
+  vocabulary;
 - a *record encoder-output* cache for late-interaction models (e.g.
   :class:`~repro.models.emba_dual.EmbaDual`): each record's full
   independent-encode token activations, reused across every pair the
   record appears in.
 
-All are plain bounded LRUs with hit/miss counters that feed
-:class:`~repro.engine.stats.EngineStats`.
+The two record caches are plain bounded LRUs; all three keep hit/miss
+counters that feed :class:`~repro.engine.stats.EngineStats`.
 
-Cache keys are bare content digests (:func:`text_digest`,
-:func:`array_digest`).  That is sound because every engine builds its
-own caches around one model and one pair encoder that it never
-reassigns: new weights mean a new engine (a serving hot-swap builds a
-fresh one), so a cache never outlives the weights that filled it.
+Keys are bare content digests (:func:`text_digest`,
+:func:`array_digest`) or token ids.  That is sound because every engine
+builds its own memos around one model and one pair encoder that it
+never reassigns: new weights mean a new engine (a serving hot-swap
+builds a fresh one), so a memo never outlives the weights that filled
+it.
 """
 
 from __future__ import annotations
@@ -61,10 +63,6 @@ class LRUCache:
         self.hits += 1
         self._items.move_to_end(key)
         return value
-
-    def peek(self, key: Hashable):
-        """Return the cached value without touching the hit/miss counters."""
-        return self._items.get(key)
 
     def put(self, key: Hashable, value) -> None:
         self._items[key] = value

@@ -18,10 +18,11 @@ class EngineStats:
     summed over batches) while ``real_tokens`` counts unpadded positions;
     their gap is the padding the bucket scheduler failed to avoid.
 
-    The three hit/miss pairs are the engine's three memo caches: record
-    tokenizations, span encoder outputs (decomposable encoders such as
-    fastText) and record encoder outputs (late-interaction models such
-    as :class:`~repro.models.emba_dual.EmbaDual`).
+    The three hit/miss pairs are the engine's three memos: record
+    tokenizations, the per-token-id encoder-output table (decomposable
+    encoders such as fastText; counted in distinct token ids per batch)
+    and record encoder outputs (late-interaction models such as
+    :class:`~repro.models.emba_dual.EmbaDual`).
     """
 
     pairs_scored: int = 0
@@ -30,7 +31,7 @@ class EngineStats:
     real_tokens: int = 0
     encode_hits: int = 0          # record-token cache
     encode_misses: int = 0
-    encoder_hits: int = 0         # span encoder-output cache (decomposable)
+    encoder_hits: int = 0         # token-id table (decomposable encoders)
     encoder_misses: int = 0
     record_hits: int = 0          # record encoder-output cache (late interaction)
     record_misses: int = 0

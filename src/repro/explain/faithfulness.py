@@ -158,9 +158,9 @@ def faithfulness_curve(model: EMModel, encoder: PairEncoder,
 
     Every variant of every pair — the unmasked base, one AoA-masked
     variant per fraction, and ``random_draws`` random-masked variants
-    per fraction — is scored in a single grouped engine call (the
-    batched masked-rescoring path), so the curve costs one bucketed
-    sweep rather than ``pairs x variants`` forwards.
+    per fraction — is scored in a single flat engine call (the batched
+    masked-rescoring path) and split back per pair, so the curve costs
+    one bucketed sweep rather than ``pairs x variants`` forwards.
     """
     if not pairs:
         raise ValueError("need at least one pair")
@@ -198,7 +198,9 @@ def faithfulness_curve(model: EMModel, encoder: PairEncoder,
                     pair, [w for j, w in enumerate(words) if j not in drop]))
         groups.append(group)
 
-    scored = engine.predict_proba_grouped(groups)
+    flat = [variant for group in groups for variant in group]
+    bounds = np.cumsum([len(group) for group in groups])[:-1]
+    scored = np.split(engine.predict_proba(flat), bounds)
 
     num_fractions = len(fractions)
     base = np.array([g[0] for g in scored])

@@ -86,8 +86,8 @@ class FastTextEncoder(Module):
     Because each position's output depends only on that position's token
     id (no positions, no cross-token mixing), the encoder is
     *decomposable*: ``position_independent`` lets the inference engine
-    memoize per-record span activations and stitch them into pair
-    sequences without re-running the forward.
+    keep a ``(vocab_size, hidden_size)`` table of per-token outputs and
+    gather every sequence from it, encoding each token id only once.
     """
 
     position_independent = True
@@ -101,6 +101,7 @@ class FastTextEncoder(Module):
         self.project = Linear(dim, dim, rng)
         self.norm = LayerNorm(dim)
         self.hidden_size = dim
+        self.vocab_size = len(vocab)
 
     def pool(self, sequence: Tensor, attention_mask: np.ndarray) -> Tensor:
         """Pooled vector from an (already computed) sequence output."""

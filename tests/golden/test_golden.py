@@ -51,7 +51,7 @@ class TestEngineNaiveParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_parity_fasttext_memoized(self, seed):
         # Position-independent encoder: also exercises the engine's
-        # per-record memoization and span re-assembly.
+        # per-token encoder-output table.
         gap = golden.engine_naive_parity(seed, use_fasttext=True)
         assert gap <= golden.PARITY_TOLERANCE
 

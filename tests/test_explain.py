@@ -10,6 +10,7 @@ from repro.bert.model import BertModel
 from repro.data.loader import PairEncoder
 from repro.data.schema import EntityPair, EntityRecord
 from repro.engine import EngineConfig, InferenceEngine
+from repro.eval.metrics import binary_f1
 from repro.explain.attention_viz import (
     AttentionSummary,
     _aggregate_wordpieces,
@@ -519,15 +520,33 @@ class TestDrift:
 # ----------------------------------------------------------------------
 class TestGroupedScoring:
     def test_grouped_partitions_match_flat(self, emba, encoder, pair):
+        """faithfulness_curve scores every variant in one flat engine call
+        and splits the probabilities back at the group boundaries."""
         other = EntityPair(
             EntityRecord.from_dict({"t": "samsung evo ssd 1tb retail"}),
             EntityRecord.from_dict({"t": "transcend card 4gb"}, source="b"),
-            0,
+            1,
         )
         engine = InferenceEngine(emba, encoder, EngineConfig(batch_size=4))
-        groups = [[pair], [], [other, pair, other]]
-        scored = engine.predict_proba_grouped(groups)
-        assert [len(g) for g in scored] == [1, 0, 3]
-        flat = engine.predict_proba([pair, other, pair, other])
-        np.testing.assert_allclose(np.concatenate(scored), flat,
-                                   rtol=1e-6, atol=1e-7)
+        flat_probs = []
+        real_predict = engine.predict_proba
+
+        def spy(pairs, dataset=None):
+            flat_probs.append(real_predict(pairs, dataset))
+            return flat_probs[-1]
+
+        engine.predict_proba = spy
+        fractions, draws = (0.25, 0.5), 2
+        report = faithfulness_curve(emba, encoder, [pair, other],
+                                    fractions=fractions, random_draws=draws,
+                                    engine=engine)
+        group = 1 + len(fractions) * (1 + draws)
+        assert [len(p) for p in flat_probs] == [2 * group]
+        # Variant 0 of each group is the base, 1 + fi the AoA masking.
+        probs = flat_probs[0].reshape(2, group)
+        labels = np.array([pair.label, other.label])
+        assert report.base_f1 == binary_f1(labels,
+                                           (probs[:, 0] >= 0.5).astype(np.int64))
+        for fi, point in enumerate(report.points):
+            assert point.aoa_prob_delta == pytest.approx(
+                np.mean(np.abs(probs[:, 1 + fi] - probs[:, 0])))
