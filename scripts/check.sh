@@ -1,17 +1,13 @@
 #!/usr/bin/env bash
 # Repo check: tier-1 tests, the numerical verify stage (slow-marked
-# sweeps + `repro selfcheck`), the crash-recovery suite under runtime
-# invariants, the inference-engine benchmark smoke, the telemetry (obs)
-# suite + overhead bench, the run-registry stage (registry suite,
-# recording/probe overhead bench, and a seeded smoke run gated against
-# the committed baseline by the `repro runs check` watchdog), the
-# serve stage (serving test battery + load bench of the
-# `repro serve` daemon, gated against tests/baselines/serve_bench.json
-# for served-throughput regressions), and the stream stage (durable
-# streaming suite incl. the kill-at-any-point crash matrix + a
-# 100k-offer ingest/recovery bench, gated against
-# tests/baselines/stream_bench.json for ingest-throughput regressions),
-# and the explain stage (explain test battery + attention-faithfulness
+# sweeps + `repro selfcheck`; the slow marks include the `repro serve`
+# CLI parity/saturation test and the 100k-offer kill-and-recover stream
+# test), the crash-recovery suite under runtime invariants, the
+# inference-engine benchmark smoke, the telemetry (obs) suite, the
+# run-registry stage (registry suite, recording/probe overhead bench,
+# and a seeded smoke run gated against the committed baseline by the
+# `repro runs check` watchdog), the serve and stream test batteries,
+# the explain stage (explain test battery + attention-faithfulness
 # bench, gated against tests/baselines/explain_bench.json so
 # interpretability regressions — faithfulness gap, LIME/AoA agreement —
 # trip the watchdog like F1 regressions), and the slo stage (a short
@@ -21,9 +17,8 @@
 #
 #   bash scripts/check.sh
 #
-# The bench compares naive vs. bucketed+memoized scoring on a
-# blocking-shaped workload and appends its report to
-# results/ext_engine.txt.
+# Wall-clock speed is not gated here: `python3 perfbench/run.py`
+# measures it, with bounds derived from run-to-run spread.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,9 +39,8 @@ REPRO_VERIFY=1 python -m pytest -q tests/test_crash_recovery.py
 echo "== engine benchmark smoke =="
 python -m pytest -q benchmarks/bench_engine.py
 
-echo "== obs: telemetry suite + overhead bench =="
+echo "== obs: telemetry suite =="
 python -m pytest -q tests/test_obs.py
-python -m pytest -q benchmarks/bench_ext_obs.py
 
 echo "== runs: registry suite + recording/probe overhead bench =="
 python -m pytest -q tests/test_runs.py
@@ -55,12 +49,8 @@ python -m pytest -q benchmarks/bench_ext_runs.py
 RUNS_TMP="$(mktemp -d)"
 trap 'rm -rf "$RUNS_TMP"' EXIT
 
-echo "== serve: daemon test battery + load bench vs baseline =="
+echo "== serve: daemon test battery =="
 python -m pytest -q tests/test_serve.py
-REPRO_RUNS_DIR="$RUNS_TMP" python -m pytest -q benchmarks/bench_serve.py --record
-REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli runs check bench-serve \
-    --baseline tests/baselines/serve_bench.json \
-    --f1-tol 0 --throughput-tol 0.5
 
 echo "== slo: traced serve workload gated by repro slo check =="
 REPRO_RUNS_DIR="$RUNS_TMP" python scripts/serve_workload.py \
@@ -69,12 +59,8 @@ REPRO_RUNS_DIR="$RUNS_TMP" python scripts/serve_workload.py \
 REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli slo check slo-smoke \
     --spec tests/baselines/serve_slo.json
 
-echo "== stream: durable-resolution suite + 100k ingest/recovery bench =="
+echo "== stream: durable-resolution suite =="
 python -m pytest -q tests/test_stream.py
-REPRO_RUNS_DIR="$RUNS_TMP" python -m pytest -q benchmarks/bench_stream.py --record
-REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli runs check bench-stream \
-    --baseline tests/baselines/stream_bench.json \
-    --f1-tol 0 --throughput-tol 0.5
 
 echo "== explain: faithfulness suite + bench vs baseline =="
 python -m pytest -q tests/test_explain.py
@@ -90,11 +76,3 @@ REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli run \
 REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli runs check watchdog-smoke \
     --baseline tests/baselines/runs_smoke.json --f1-tol 0.05
 
-echo "== results =="
-cat results/ext_engine.txt
-cat results/ext_obs.txt
-cat results/ext_runs.txt
-cat results/explain_faithfulness.txt
-cat results/serve_bench.txt
-cat results/serve_trace.txt
-cat results/stream_bench.txt

@@ -528,8 +528,7 @@ def _cmd_runs_check(args) -> int:
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    tol = Tolerance(f1_drop=args.f1_tol, throughput_drop=args.throughput_tol,
-                    health=not args.no_health,
+    tol = Tolerance(f1_drop=args.f1_tol, health=not args.no_health,
                     faithfulness_drop=args.faithfulness_tol,
                     agreement_drop=args.agreement_tol)
     violations = check_regression(baseline, candidate, tol)
@@ -852,10 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
     runs_check.add_argument("--f1-tol", type=float, default=0.01,
                             help="max allowed absolute em_f1 drop "
                                  "(non-positive disables)")
-    runs_check.add_argument("--throughput-tol", type=float, default=0.0,
-                            help="max allowed relative infer throughput drop, "
-                                 "e.g. 0.2 = 20%% (0 disables; baselines are "
-                                 "machine-specific)")
     runs_check.add_argument("--faithfulness-tol", type=float, default=0.0,
                             help="max allowed absolute drop in the explain "
                                  "suite's faithfulness_gap metric "

@@ -48,6 +48,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     WindowedCounter,
     WindowedHistogram,
+    nearest_rank,
     render_metrics,
 )
 from repro.obs.sinks import JsonlSink, aggregate, read_jsonl, tree_summary
@@ -70,9 +71,9 @@ __all__ = [
     "SpanRecord", "WindowedCounter", "WindowedHistogram", "absorb",
     "aggregate", "current_trace", "disable", "drain_records", "emit_span",
     "enable", "enabled", "foreign_records", "gauge", "inc", "merge_traces",
-    "observe", "read_jsonl", "records", "render_merged", "render_metrics",
-    "render_summary", "reset", "snapshot", "span", "stage_breakdown",
-    "trace", "tree_summary",
+    "nearest_rank", "observe", "read_jsonl", "records", "render_merged",
+    "render_metrics", "render_summary", "reset", "snapshot", "span",
+    "stage_breakdown", "trace", "tree_summary",
 ]
 
 # Forked children (serve shard workers) must never keep recording into

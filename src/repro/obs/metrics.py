@@ -123,6 +123,18 @@ REGISTRY = MetricsRegistry()
 # ----------------------------------------------------------------------
 
 
+def nearest_rank(ordered: list[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile (q in [0, 1]) of an ascending list.
+
+    The smallest value with at least ``q`` of the samples at or below
+    it, so p99 of two samples is the larger one; 0.0 when empty.
+    """
+    if not ordered:
+        return 0.0
+    rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
+    return ordered[rank]
+
+
 class _Ring:
     """Shared slot bookkeeping: maps *now* to a lazily-recycled slot."""
 
@@ -236,11 +248,8 @@ class WindowedHistogram:
         merged: list[float] = []
         for i in self._ring.live_positions(now):
             merged.extend(self._samples[i])
-        if not merged:
-            return 0.0
         merged.sort()
-        rank = min(len(merged) - 1, max(0, math.ceil(q * len(merged)) - 1))
-        return merged[rank]
+        return nearest_rank(merged, q)
 
     def snapshot(self) -> dict:
         return {

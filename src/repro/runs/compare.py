@@ -6,9 +6,9 @@ the channels both runs recorded.  :func:`check_regression` is the
 watchdog behind ``repro runs check``: it compares a candidate run's
 final metrics against a *baseline* (another run, or a committed
 manifest JSON) under explicit tolerances and returns the list of
-violations, so CI can gate quality (EM F1), performance (inference
-throughput), and run health (fault counters) the same way the verify
-stage gates correctness.
+violations, so CI can gate quality (EM F1), explanations, and run
+health (fault counters) the same way the verify stage gates
+correctness.  Timing is not gated here: ``perfbench/`` measures it.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ _DIFF_CHANNELS = ("loss", "valid_f1")
 class Tolerance:
     """Watchdog tolerances (all opt-out: a non-positive value disables).
 
-    ``f1_drop`` is an absolute drop in ``em_f1``; ``throughput_drop`` a
-    relative drop in ``infer_pairs_per_s`` (0.2 = 20% slower trips it) —
-    disabled by default because throughput baselines are only meaningful
-    on the machine that recorded them; ``health`` trips when any
-    :data:`HEALTH_COUNTERS` exceeds the baseline's count.
+    ``f1_drop`` is an absolute drop in ``em_f1``; ``health`` trips when
+    any :data:`HEALTH_COUNTERS` exceeds the baseline's count.
 
     ``faithfulness_drop`` and ``agreement_drop`` gate the explain
     suite's interpretability metrics the same way ``f1_drop`` gates
@@ -49,7 +46,6 @@ class Tolerance:
     """
 
     f1_drop: float = 0.01
-    throughput_drop: float = 0.0
     health: bool = True
     faithfulness_drop: float = 0.0
     agreement_drop: float = 0.0
@@ -92,15 +88,6 @@ def check_regression(baseline: dict, candidate: dict,
                     f"em_f1 regressed: {base['em_f1']:.4f} -> "
                     f"{cand['em_f1']:.4f} (drop {drop:.4f} > "
                     f"tolerance {tol.f1_drop:.4f})")
-
-    if tol.throughput_drop > 0 and base.get("infer_pairs_per_s"):
-        have = cand.get("infer_pairs_per_s", 0.0)
-        rel = 1.0 - have / base["infer_pairs_per_s"]
-        if rel > tol.throughput_drop:
-            violations.append(
-                f"inference throughput regressed: "
-                f"{base['infer_pairs_per_s']:.1f} -> {have:.1f} pairs/s "
-                f"({rel:.1%} slower > tolerance {tol.throughput_drop:.0%})")
 
     def gate_metric_drop(metric: str, tolerance: float, label: str) -> None:
         """Flag an absolute drop of ``metric`` beyond ``tolerance``.

@@ -25,7 +25,7 @@ small separately-testable parts:
 
 See ``docs/operations.md`` ("Running the matching service" and
 "Watching a live service") for the runbook and
-``benchmarks/bench_serve.py`` for the load generator.
+``perfbench/wl_serve.py`` for the load generator.
 """
 
 from repro.serve.batcher import BatchQueue

@@ -602,13 +602,6 @@ class MatchServer:
         """Parent-side serving counters + latency percentiles."""
         elapsed = max(self.clock() - self._started, 1e-9)
         latencies = sorted(self._latencies)
-
-        def percentile(q: float) -> float:
-            if not latencies:
-                return 0.0
-            index = min(len(latencies) - 1, int(q * (len(latencies) - 1)))
-            return latencies[index]
-
         batches = self._counts["batches"]
         return {
             **self._counts,
@@ -616,8 +609,8 @@ class MatchServer:
             "pairs_per_s": self._counts["completed"] / elapsed,
             "mean_batch_size": (self._counts["batched_pairs"] / batches
                                 if batches else 0.0),
-            "latency_p50_ms": percentile(0.50) * 1e3,
-            "latency_p99_ms": percentile(0.99) * 1e3,
+            "latency_p50_ms": obs.nearest_rank(latencies, 0.50) * 1e3,
+            "latency_p99_ms": obs.nearest_rank(latencies, 0.99) * 1e3,
             "weights_ref": self.weights_ref,
             "window": self.window_metrics(),
             "slo": self._slo_status(),

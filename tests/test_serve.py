@@ -941,7 +941,8 @@ class TestEndToEndTracing:
                 responses = client.match_many(requests, trace="req")
         obs.disable()
 
-        # Every response echoes its request's trace id.
+        # Every request was scored and echoes its trace id.
+        assert all("score" in r for r in responses)
         assert [r.get("trace") for r in responses] == \
                [f"req-{i}" for i in range(len(requests))]
 
@@ -955,6 +956,14 @@ class TestEndToEndTracing:
 
         merged = obs.merge_traces(path)
         assert set(merged.pids()) == {os.getpid(), *worker_pids}
+        # The engine stages ran inside the shards, not the daemon.
+        for name in ("engine.encode", "engine.forward"):
+            pids = {r.pid for r in merged.records if r.name == name}
+            assert pids and pids <= set(worker_pids), (name, pids)
+        # One request span per request; micro-batches amortize them.
+        stages = obs.stage_breakdown(merged)
+        assert stages["serve.request"]["count"] == len(requests)
+        assert stages["serve.batch"]["count"] <= len(requests)
         for i in range(len(requests)):
             tid = f"req-{i}"
             keys = merged.select(tid)
@@ -1078,6 +1087,19 @@ class TestLiveTelemetry:
         window = server.window_metrics()
         assert window["requests"] == 0
         assert window["latency_p99_ms"] == 0.0
+
+    def test_lifetime_p99_is_nearest_rank(self):
+        """stats() ranks like the windowed view: of two requests taking
+        1 ms and 100 ms, the lifetime p99 is the slower one."""
+        server = MatchServer(
+            lambda: MatchScorer(lambda m: m, _LenModel()),
+            ServeConfig(port=0), clock=FakeClock(start=1000.0))
+        for latency in (0.001, 0.100):
+            server._latencies.append(latency)
+            server._win_latency.observe(latency)
+        assert server.stats()["latency_p99_ms"] == pytest.approx(100.0)
+        assert server.window_metrics()["latency_p99_ms"] == \
+            pytest.approx(100.0)
 
     def test_stats_degrades_to_dead_for_killed_shard(self, dual_model,
                                                      encoder):
@@ -1312,3 +1334,143 @@ class TestServeObservabilityCli:
         assert record.metrics["completed"] == 5
         spec = SloSpec(p99_ms=60_000.0, worker_restarts=0, min_requests=1)
         assert check_run(record.manifest, spec, record.events()) == []
+
+
+# ======================================================================
+# The `repro serve` CLI end to end (slow: builds the mini-BERT spec)
+# ======================================================================
+import dataclasses
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
+CLI_DATASET, CLI_SIZE, CLI_MODEL = "wdc_computers", "small", "emba_dual_sb"
+CLI_PRETRAIN_STEPS = 60      # shared mini-BERT MLM steps (disk-cached)
+CLI_PAIRS_PER_RECORD = 4     # blocking-heavy: every record recurs this often
+CLI_MAX_RECORDS_PER_SIDE = 80
+CLI_BATCH_SIZE = 32          # engine-internal micro-batch (both paths)
+CLI_MAX_BATCH = 128          # daemon cut size (split at CLI_BATCH_SIZE inside)
+CLI_MAX_DELAY_MS = 4.0
+CLI_MAX_QUEUE = 8192         # holds every pipelined round without rejects
+CLI_ROUNDS = 4               # pipelined rounds that saturate the batcher
+CLI_RTT_PROBES = 40          # low-load single-request latency probe
+
+
+def _build_offline_twin():
+    """The served model's offline twin, built along the experiments
+    runner's path rather than through ``factory_from_spec`` — the
+    function under test must not be its own reference."""
+    from repro.data.registry import load_dataset
+    from repro.experiments.config import MODEL_SPECS, PROFILES, spec_for
+    from repro.experiments.runner import (
+        _build_encoder,
+        _build_model,
+        _tokenizer_for,
+    )
+
+    spec = dataclasses.replace(
+        spec_for(CLI_DATASET, CLI_SIZE, CLI_MODEL, 0, PROFILES["quick"]),
+        pretrain_steps=CLI_PRETRAIN_STEPS)
+    dataset = load_dataset(CLI_DATASET, size=CLI_SIZE, seed=spec.data_seed)
+    tokenizer = _tokenizer_for(CLI_DATASET, CLI_SIZE, spec.data_seed,
+                               spec.vocab_size)
+    pair_encoder = PairEncoder(tokenizer, max_length=spec.max_length,
+                               style=MODEL_SPECS[CLI_MODEL].style)
+    encoder, hidden = _build_encoder(MODEL_SPECS[CLI_MODEL].encoder, spec,
+                                     tokenizer, dataset)
+    model = _build_model(spec, encoder, hidden, dataset, tokenizer)
+    model.eval()
+    engine = InferenceEngine(model, pair_encoder,
+                             EngineConfig(batch_size=CLI_BATCH_SIZE,
+                                          threshold=0.5))
+    return engine, dataset
+
+
+def _blocking_heavy_workload(dataset) -> list[EntityPair]:
+    """Candidate pairs in which every record appears
+    ``CLI_PAIRS_PER_RECORD`` times — the record-reuse shape that makes
+    the record memo matter."""
+    seen, left, right = set(), [], []
+    for pair in dataset.test + dataset.train:
+        for record, pool in ((pair.record1, left), (pair.record2, right)):
+            key = (record.source, record.attributes)
+            if key not in seen:
+                seen.add(key)
+                pool.append(record)
+    n = min(CLI_MAX_RECORDS_PER_SIDE, len(left), len(right))
+    left, right = left[:n], right[:n]
+    return [EntityPair(left[i], right[(i + j) % n], 0)
+            for i in range(n) for j in range(CLI_PAIRS_PER_RECORD)]
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def _spawn_cli_daemon(port: int) -> subprocess.Popen:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve",
+         "--dataset", CLI_DATASET, "--size", CLI_SIZE, "--model", CLI_MODEL,
+         "--port", str(port), "--max-batch", str(CLI_MAX_BATCH),
+         "--max-delay-ms", str(CLI_MAX_DELAY_MS),
+         "--max-queue", str(CLI_MAX_QUEUE)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    banner = proc.stdout.readline()          # blocks until the port is live
+    if "serving" not in banner:
+        proc.kill()
+        proc.wait()
+        pytest.fail(f"daemon failed to start: {banner!r}")
+    return proc
+
+
+@pytest.mark.slow
+def test_cli_daemon_serves_its_offline_twin_bitwise(tmp_path, monkeypatch):
+    """`repro serve` as an operator launches it: every served score is
+    bit-identical to the independently built offline twin, pipelined
+    load saturates the micro-batcher without a rejection, and a lone
+    request waits on the batcher, not on a backlog."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    engine, dataset = _build_offline_twin()
+    pairs = _blocking_heavy_workload(dataset)
+    payloads = [(dict(p.record1.attributes), dict(p.record2.attributes))
+                for p in pairs]
+    direct = [float(p) for p in engine.score_pairs(pairs)["em_prob"]]
+
+    port = _free_port()
+    proc = _spawn_cli_daemon(port)
+    try:
+        with ServeClient("127.0.0.1", port) as client:
+            served = client.match_many(payloads)
+            assert [r.get("score") for r in served] == direct
+
+            rtts = []
+            for left, right in payloads[:CLI_RTT_PROBES]:
+                t0 = _time_mod.perf_counter()
+                client.match(left, right)
+                rtts.append((_time_mod.perf_counter() - t0) * 1e3)
+            before = client.stats()
+
+            # Every round is written before any response is read.
+            client.match_many(payloads * CLI_ROUNDS)
+            after = client.stats()
+            client.request({"op": "shutdown"})
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stdout.close()
+
+    batches = after["batches"] - before["batches"]
+    batched_pairs = after["batched_pairs"] - before["batched_pairs"]
+    assert batched_pairs / batches >= CLI_BATCH_SIZE
+    assert max(w["peak_depth"] for w in after["workers"]) >= CLI_MAX_BATCH
+    assert after["rejected"] == 0
+    assert after["errors"] == 0
+    assert sorted(rtts)[len(rtts) // 2] < 1000.0

@@ -9,6 +9,7 @@ buffers appends in user space, so raising at a fault site and
 separately by byte-level truncation of the journal file.
 """
 
+import itertools
 import json
 
 import pytest
@@ -673,3 +674,64 @@ def test_payload_record_roundtrip():
     assert back.attributes == record.attributes
     assert back.entity_id == record.entity_id
     assert back.source == record.source
+
+
+# ======================================================================
+# Corpus scale: 100k offers, killed mid-stream and recovered (slow)
+# ======================================================================
+SCALE_OFFERS = 100_000
+SCALE_OFFERS_PER_PRODUCT = 8     # 12,500 catalogue products
+SCALE_SEED = 11
+SCALE_KILL_AT = 40_000           # stream.ingest hit of the injected kill
+# 96 hashes in 8 bands (12 rows/band, ~0.84 Jaccard S-curve): distinct
+# products share whole spec-token profiles, and looser curves make the
+# candidate count grow quadratically with the corpus.
+SCALE_CONFIG = StreamConfig(threshold=0.5, score_batch=256, sync_every=512,
+                            snapshot_every=25_000, num_hashes=96, bands=8,
+                            seed=0)
+
+
+def _scale_offers(start: int = 0):
+    stream = wdc_offer_stream("computers", SCALE_OFFERS, seed=SCALE_SEED,
+                              offers_per_product=SCALE_OFFERS_PER_PRODUCT)
+    return itertools.islice(stream, start, None)
+
+
+@pytest.mark.slow
+def test_100k_stream_killed_mid_ingest_resolves_exactly_once(tmp_path):
+    """A product-interleaved 100k-offer stream is killed at offer 40k,
+    recovered from the journal, resumed at the recovered record count,
+    and still resolves to the batch partition with every candidate
+    emitted and scored exactly once."""
+    pipe = StreamPipeline(tmp_path, JaccardScorer(), SCALE_CONFIG)
+    with inject(FaultPlan().fail_at("stream.ingest", SCALE_KILL_AT)):
+        with pytest.raises(FaultError):
+            pipe.extend(_scale_offers())
+    ingested = pipe.counters["records"]
+    del pipe                      # abandoned: buffered WAL suffix is lost
+
+    pipe = StreamPipeline(tmp_path, JaccardScorer(), SCALE_CONFIG)
+    assert pipe.recovered
+    resumed_at = pipe.counters["records"]
+    assert ingested - resumed_at <= SCALE_CONFIG.sync_every
+    pipe.extend(_scale_offers(start=resumed_at))
+    pipe.flush()
+    resolution = pipe.resolution()
+    pipe.snapshot()
+
+    stats = pipe.stats()
+    assert stats["records"] == SCALE_OFFERS
+    assert stats["pending"] == 0
+    assert stats["candidates"] == pipe.index.emitted_count
+    assert stats["scored"] == stats["candidates"]
+    assert stats["scored"] == len(pipe.scored_edges)
+    batch = resolve_clusters(
+        sorted(pipe.records),
+        [(a, b, p) for (a, b), p in pipe.scored_edges.items()],
+        threshold=SCALE_CONFIG.threshold)
+    assert resolution.clusters == batch.clusters
+    pipe.close()
+    assert stats["clusters"] <= SCALE_OFFERS
+    # Transitive closure chains some look-alike products together, but
+    # no giant component may swallow the corpus.
+    assert max(map(len, resolution.clusters)) <= SCALE_OFFERS * 0.01
