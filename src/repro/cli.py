@@ -10,8 +10,6 @@ Commands
 - ``table N``                  regenerate one of the paper's tables (1-7)
 - ``figure N``                 regenerate Figure 5 or 6
 - ``casestudy``                print the Section 4.7 case-study pair
-- ``profile-engine``           time the batched inference engine vs. the
-                               naive scoring loop on a blocking workload
 - ``serve``                    run the matching daemon: newline-delimited
                                JSON over TCP with micro-batching,
                                backpressure, and hot-swappable weights
@@ -52,10 +50,11 @@ Commands
                                gate a candidate against a baseline
                                (non-zero exit on regression), prune old runs
 
-``run``, ``resume``, and ``profile-engine`` accept ``--trace`` (print a
-span tree + metrics summary after the command) and ``--trace-file PATH``
-(stream the trace to ``PATH`` as JSON lines); ``REPRO_TRACE=1`` in the
-environment enables the same telemetry for any command.
+``run``, ``resume``, ``serve``, ``stream`` and ``explain`` accept
+``--trace`` (print a span tree + metrics summary after the command) and
+``--trace-file PATH`` (stream the trace to ``PATH`` as JSON lines);
+``REPRO_TRACE=1`` in the environment enables the same telemetry for any
+command.
 """
 
 from __future__ import annotations
@@ -158,18 +157,6 @@ def _cmd_profile(args) -> int:
     print("  attribute fill rates:")
     for name, rate in sorted(profile["fill_rates"].items()):
         print(f"    {name:<20} {rate:.2f}")
-    return 0
-
-
-def _cmd_profile_engine(args) -> int:
-    from repro.engine.profile import profile_engine_workload, render_profile
-
-    report = profile_engine_workload(
-        dataset=args.dataset, size=args.size, model_name=args.model,
-        batch_size=args.batch_size, max_pairs=args.max_pairs,
-        repeats=args.repeats,
-    )
-    print(render_profile(report))
     return 0
 
 
@@ -640,19 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--dataset", required=True)
     profile.add_argument("--size", default="default")
     profile.set_defaults(fn=_cmd_profile)
-
-    engine = sub.add_parser(
-        "profile-engine",
-        help="time batched inference (bucketing + memoization) vs. naive scoring",
-    )
-    engine.add_argument("--dataset", default="wdc_computers")
-    engine.add_argument("--size", default="small")
-    engine.add_argument("--model", default="emba_ft")
-    engine.add_argument("--batch-size", type=int, default=32)
-    engine.add_argument("--max-pairs", type=int, default=400)
-    engine.add_argument("--repeats", type=int, default=3)
-    add_trace_flags(engine)
-    engine.set_defaults(fn=_cmd_profile_engine)
 
     serve = sub.add_parser(
         "serve",

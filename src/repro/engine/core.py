@@ -69,10 +69,10 @@ class EngineConfig:
     threshold: float = 0.5            # match decision boundary for em_pred
     record_cache_size: int = 4096     # record encoder-output LRU entries
     quarantine: bool = True           # bisect failing batches, isolate poison
-    quarantine_score: float = 0.0     # em_prob assigned to quarantined pairs
 
 
 ENCODE_CACHE_SIZE = 8192              # record-token LRU entries
+QUARANTINE_SCORE = 0.0                # em_prob assigned to quarantined pairs
 
 
 class _TokenTable(Module):
@@ -233,7 +233,7 @@ class InferenceEngine:
 
         A batch whose forward pass raises does not abort the call: the
         batch is bisected until the poison pairs are isolated, those
-        pairs are quarantined (``em_prob`` = ``config.quarantine_score``,
+        pairs are quarantined (``em_prob`` = ``QUARANTINE_SCORE``,
         flagged in the mask and in ``EngineStats.quarantined``), and
         every healthy pair is still scored normally.  Disable with
         ``config.quarantine = False`` to re-raise instead.
@@ -327,7 +327,7 @@ class InferenceEngine:
                 self._quarantine_log.append((row, repr(exc)))
                 obs.inc("engine.quarantined")
                 scatter("em_prob", index,
-                        np.full(1, self.config.quarantine_score, dtype=np.float32))
+                        np.full(1, QUARANTINE_SCORE, dtype=np.float32))
                 scatter("labels", index, batch.labels)
                 scatter("id1", index, batch.id1)
                 scatter("id2", index, batch.id2)

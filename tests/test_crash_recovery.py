@@ -17,6 +17,7 @@ from repro.bert.model import BertModel
 from repro.data.loader import PairEncoder
 from repro.data.registry import load_dataset
 from repro.engine import EngineConfig, InferenceEngine
+from repro.engine.core import QUARANTINE_SCORE
 from repro.experiments.config import RunSpec
 from repro.experiments.runner import (
     checkpoint_dir_for,
@@ -515,7 +516,7 @@ class TestEngineQuarantine:
                                    clean["em_prob"][healthy],
                                    rtol=1e-5, atol=1e-7)
         assert (out["em_prob"][~healthy]
-                == EngineConfig().quarantine_score).all()
+                == QUARANTINE_SCORE).all()
         assert len(engine.quarantine_log) == len(poison)
 
     def test_quarantine_disabled_reraises(self, splits):

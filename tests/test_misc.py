@@ -69,6 +69,15 @@ class TestModelThroughput:
         assert result["train_pairs_per_s"] > 0
         assert result["infer_pairs_per_s"] > result["train_pairs_per_s"]
 
+    def test_emba_ft_inference_uses_token_table(self, tmp_path, monkeypatch):
+        """Table 7's EMBA(FT) row times the engine's fastText token table."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.experiments.efficiency import measure_model_throughput
+
+        result = measure_model_throughput("emba_ft", min_seconds=0.05)
+        assert result["infer_encoder_hit_rate"] > 0
+        assert result["infer_pairs_per_s"] > result["train_pairs_per_s"]
+
 
 class TestImportLayering:
     """Importing a subsystem loads only what it uses, in a fresh process."""
