@@ -3,7 +3,8 @@
 Paper claims checked in shape: EMBA (FT) is by far the fastest model;
 EMBA (SB) is faster than every full-size transformer; inference is
 faster than training for every model; EMBA's overhead relative to
-JointBERT is small.
+JointBERT is small.  Every rate is the median of alternated readings
+(``table7``), so one noisy reading cannot flip an ordering.
 """
 
 from benchmarks.helpers import RESULTS_DIR, run_once

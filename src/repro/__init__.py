@@ -31,7 +31,14 @@ import os as _os
 
 __version__ = "1.0.0"
 
-__all__ = ["__version__"]
+# Part of every on-disk cache key (pre-trained encoders, fine-tuned
+# checkpoints, cached results), so weights and scores produced by older
+# numerics are never reused.  Bump it with every intentional numerical
+# change, the same change that regenerates a golden digest.
+# 2: GELU's cube is two multiplies instead of float32 ``pow``.
+NUMERICS_VERSION = 2
+
+__all__ = ["NUMERICS_VERSION", "__version__"]
 
 if _os.environ.get("REPRO_VERIFY", "").strip() not in ("", "0"):
     from repro.verify.invariants import install as _install_invariants

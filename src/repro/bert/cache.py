@@ -2,9 +2,9 @@
 
 Pre-training is the most expensive step of the pipeline, so
 :func:`pretrained_bert` memoizes it on disk keyed by a digest of
-(config, corpus, seed).  Experiments and benchmarks share one cache
-directory (``~/.cache/repro-emba`` by default, override with the
-``REPRO_CACHE_DIR`` environment variable).
+(config, corpus, seed, :data:`repro.NUMERICS_VERSION`).  Experiments and
+benchmarks share one cache directory (``~/.cache/repro-emba`` by default,
+override with the ``REPRO_CACHE_DIR`` environment variable).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import NUMERICS_VERSION
 from repro.bert.config import BertConfig
 from repro.bert.model import BertModel
 from repro.bert.pretrain import pretrain
@@ -35,6 +36,7 @@ def _digest(config: BertConfig, corpus: list[str], seed: int) -> str:
             "config": sorted(config.__dict__.items()),
             "corpus_head": corpus[:50],
             "corpus_len": len(corpus),
+            "numerics": NUMERICS_VERSION,
             "seed": seed,
         },
         default=str,

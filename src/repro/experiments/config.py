@@ -19,6 +19,8 @@ import json
 import os
 from dataclasses import asdict, dataclass
 
+from repro import NUMERICS_VERSION
+
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -41,7 +43,8 @@ class RunSpec:
     pretrain_steps: int | None = None
 
     def digest(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True)
+        payload = json.dumps({**asdict(self), "numerics": NUMERICS_VERSION},
+                             sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

@@ -273,17 +273,18 @@ def table6(profile: Profile | None = None, progress: bool = False) -> TableResul
 # ----------------------------------------------------------------------
 
 def table7(progress: bool = False) -> TableResult:
-    """Training and inference throughput (pairs/second) per model."""
-    from repro.experiments.efficiency import measure_model_throughput
+    """Training and inference throughput (pairs/second) per model.
 
-    rows = []
+    Each row is the median of several readings, taken in alternation
+    across models, so one noisy reading cannot reorder the table.
+    """
     from repro.experiments.config import TABLE7_MODELS
-    for model in TABLE7_MODELS:
-        if progress:
-            print(f"[throughput] {model}", flush=True)
-        result = measure_model_throughput(model)
-        rows.append([model, round(result["train_pairs_per_s"], 1),
-                     round(result["infer_pairs_per_s"], 1)])
+    from repro.experiments.efficiency import measure_models_throughput
+
+    results = measure_models_throughput(TABLE7_MODELS, progress=progress)
+    rows = [[model, round(result["train_pairs_per_s"], 1),
+             round(result["infer_pairs_per_s"], 1)]
+            for model, result in results.items()]
     return _render("table7_efficiency",
                    "Table 7: computational efficiency (pairs/second)",
                    ["model", "training", "inference"], rows)

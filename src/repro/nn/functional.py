@@ -47,11 +47,13 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation, as in BERT)."""
-    # x**3 may overflow to inf at extreme |x|; tanh saturates it to +/-1
-    # and the output correctly degenerates to x (or 0), so only silence
-    # the spurious warning rather than clamp.
+    # The cube is two multiplies, not ``x ** 3``: for float32 numpy calls
+    # libm ``powf`` per element, about 70x slower, with libm-dependent
+    # rounding.  The cube may overflow to inf at extreme |x|; tanh
+    # saturates it to +/-1 and the output correctly degenerates to x (or
+    # 0), so only silence the spurious warning rather than clamp.
     with np.errstate(over="ignore"):
-        x3 = x.data ** 3
+        x3 = x.data * x.data * x.data
         inner = _SQRT_2_OVER_PI * (x.data + 0.044715 * x3)
     tanh_inner = np.tanh(inner)
     out = 0.5 * x.data * (1.0 + tanh_inner)

@@ -9,9 +9,13 @@ statistics plus head values, and the engine's exact integer
 so they survive BLAS/numpy version changes while still catching real
 numerical drift.
 
-Regenerate after an intentional numerical change::
+Regenerate after an intentional numerical change; every field that moved
+beyond tolerance is printed (stored != computed) before it is overwritten::
 
-    python -m repro.verify.golden --regen
+    python -m repro.verify.golden --regen [NAME ...]
+
+and bump :data:`repro.NUMERICS_VERSION` in the same change, so cached
+weights and results trained under the old numerics are not reused.
 
 :func:`engine_naive_parity` is the differential check: the engine's
 bucketed, memoized scoring must agree with scoring every pair
@@ -243,15 +247,26 @@ def check(names: list[str] | None = None) -> dict[str, list[str]]:
     return results
 
 
-def regen(names: list[str] | None = None) -> list[Path]:
-    """Recompute and overwrite the stored digests."""
+def regen(names: list[str] | None = None) -> dict[Path, list[str]]:
+    """Recompute and overwrite the stored digests.
+
+    Returns ``path -> mismatches``: each stored digest is compared with
+    its recomputed workload before it is overwritten, so an intentional
+    numerical change shows every field that moved beyond tolerance
+    (empty for an unchanged or new digest).
+    """
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    written = []
+    written: dict[Path, list[str]] = {}
     for name in names or sorted(WORKLOADS):
         path = golden_path(name)
-        path.write_text(json.dumps(WORKLOADS[name](), indent=2, sort_keys=True)
+        computed = WORKLOADS[name]()
+        mismatches: list[str] = []
+        if path.exists():
+            stored = json.loads(path.read_text(encoding="utf-8"))
+            _compare(name, stored, computed, mismatches)
+        path.write_text(json.dumps(computed, indent=2, sort_keys=True)
                         + "\n", encoding="utf-8")
-        written.append(path)
+        written[path] = mismatches
     return written
 
 
@@ -339,7 +354,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     names = args.names or None
     if args.regen:
-        for path in regen(names):
+        for path, mismatches in regen(names).items():
+            if mismatches:
+                print(f"{len(mismatches)} field(s) changed beyond tolerance "
+                      f"(stored != computed):")
+            for m in mismatches:
+                print(f"    {m}")
             print(f"wrote {path}")
         return 0
     failed = False

@@ -33,6 +33,20 @@ class TestGoldenDigests:
         assert stored["stats"] == computed["stats"]
         assert stored["em_pred"] == computed["em_pred"]
 
+    def test_layer_norm_fed_grads_have_zero_mean(self):
+        # Each of these gradients reaches its parameter through a
+        # LayerNorm input-gradient, whose rows sum to zero, so the true
+        # mean is 0 and the digest's ``mean`` is float32 rounding noise.
+        grads = golden.workload_bert_forward_backward()["grads"]
+        params = ["embeddings.position.weight", "embeddings.segment.weight",
+                  "embeddings.token.weight",
+                  "encoder.layer0.attention.output.bias",
+                  "encoder.layer1.attention.output.bias",
+                  "encoder.layer1.ffn_out.bias"]
+        failing = [p for p in params
+                   if abs(grads[p]["mean"]) > 1e-6 * grads[p]["std"]]
+        assert not failing, failing
+
     def test_compare_flags_drift(self):
         stored = golden.workload_emba_multitask()
         drifted = json.loads(json.dumps(stored))

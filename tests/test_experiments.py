@@ -36,6 +36,24 @@ class TestConfig:
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
 
+    def test_cache_keys_change_with_numerics_version(self, monkeypatch):
+        # A warm cache must not hand back weights or scores produced by
+        # older numerics: both on-disk keys carry the numerics version.
+        from repro.bert import cache
+        from repro.bert.config import PRESETS
+        from repro.experiments import config
+
+        spec = RunSpec(dataset="bikes", model="emba")
+        preset = PRESETS["mini-small"]
+        before = (spec.digest(), cache._digest(preset, ["a b"], 0))
+        monkeypatch.setattr(config, "NUMERICS_VERSION",
+                            config.NUMERICS_VERSION + 1)
+        monkeypatch.setattr(cache, "NUMERICS_VERSION",
+                            cache.NUMERICS_VERSION + 1)
+        after = (spec.digest(), cache._digest(preset, ["a b"], 0))
+        assert before[0] != after[0]
+        assert before[1] != after[1]
+
     def test_profiles(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "smoke")
         assert active_profile().name == "smoke"

@@ -78,6 +78,31 @@ class TestModelThroughput:
         assert result["infer_encoder_hit_rate"] > 0
         assert result["infer_pairs_per_s"] > result["train_pairs_per_s"]
 
+    def test_table7_reads_models_in_alternation_and_takes_medians(
+            self, monkeypatch):
+        from repro.experiments import efficiency
+
+        calls = []
+        scripted = {"a": iter([10.0, 500.0, 30.0, 40.0, 20.0]),
+                    "b": iter([20.0, 20.0, 1.0, 25.0, 2.0])}
+
+        def probe(name):
+            def reading():
+                calls.append(name)
+                rate = next(scripted[name])
+                return {"model": name, "train_pairs_per_s": rate,
+                        "infer_pairs_per_s": 2 * rate}
+            return reading
+
+        monkeypatch.setattr(efficiency, "_throughput_probe", probe)
+        monkeypatch.setattr(efficiency, "_READINGS", 5)
+        result = efficiency.measure_models_throughput(["a", "b"])
+        assert calls == ["a", "b"] * 5
+        # One outlier reading per model cannot move its row.
+        assert result["a"]["train_pairs_per_s"] == 30.0
+        assert result["a"]["infer_pairs_per_s"] == 60.0
+        assert result["b"]["train_pairs_per_s"] == 20.0
+
 
 class TestImportLayering:
     """Importing a subsystem loads only what it uses, in a fresh process."""

@@ -1,5 +1,7 @@
 """Tests for repro.nn.functional ops (values + gradient checks)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,22 @@ class TestActivations:
         np.testing.assert_allclose(out.data[0], 0.0, atol=1e-7)
         np.testing.assert_allclose(out.data[1], 5.0, atol=1e-3)
         np.testing.assert_allclose(out.data[2], 0.0, atol=1e-3)
+        # Float32 GELU tracks a float64 tanh-GELU reference on a grid.
+        x = np.linspace(-10, 10, 4001)
+        ref = 0.5 * x * (1.0 + np.tanh(
+            np.sqrt(2.0 / np.pi) * (x + 0.044715 * x ** 3)))
+        out = F.gelu(Tensor(x.astype(np.float32)))
+        assert out.data.dtype == np.float32
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-6)
+
+    def test_gelu_extremes_saturate_without_warnings(self):
+        # The float32 cube overflows to +/-inf here; the output must still
+        # degenerate to x (or 0) and the overflow must stay silent.
+        x = np.array([1e20, -1e20, 3.0e38, -3.0e38], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = F.gelu(Tensor(x)).data
+        np.testing.assert_array_equal(out, [x[0], 0.0, x[2], 0.0])
 
     def test_gelu_gradient(self):
         check_gradient(lambda x: F.gelu(x).sum(), (6,), RNG)

@@ -1,5 +1,7 @@
 """Tests for the numerical-correctness subsystem (repro.verify)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,25 @@ class TestSelfcheckCli:
         monkeypatch.setattr(selfcheck, "all_cases", lambda quick=False: [])
         code = selfcheck.run_selfcheck(quick=True, out=lambda s: None)
         assert code == 1
+
+
+class TestGoldenRegen:
+    def test_regen_prints_fields_it_changes(self, monkeypatch, tmp_path,
+                                            capsys):
+        from repro.verify import golden
+
+        monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+        name = "emba_multitask"
+        digest = golden.WORKLOADS[name]()
+        stale = json.loads(json.dumps(digest))
+        stale["loss"] = digest["loss"] * (1 + 1e-3)
+        golden.golden_path(name).write_text(json.dumps(stale),
+                                            encoding="utf-8")
+
+        assert golden.main(["--regen", name]) == 0
+        out = capsys.readouterr().out
+        assert f"{name}.loss: {stale['loss']!r} != {digest['loss']!r}" in out
+        assert "1 field(s) changed" in out   # only the perturbed field
+        rewritten = json.loads(golden.golden_path(name).read_text(
+            encoding="utf-8"))
+        assert rewritten == json.loads(json.dumps(digest))
