@@ -16,6 +16,10 @@ Subpackages
 - :mod:`repro.experiments` — tables 1-7 and figures 5-6 harness
 - :mod:`repro.verify` — gradcheck, runtime invariants, golden digests
 
+Importing the package pins glibc's malloc thresholds so that freed
+numpy temporaries stay in the process instead of being page-faulted in
+again by every forward; :data:`ALLOCATOR` says whether that happened.
+
 Setting ``REPRO_VERIFY=1`` in the environment installs the runtime
 invariant guards (see :mod:`repro.verify.invariants`) for every
 subsequent forward/backward pass in the process.
@@ -38,7 +42,35 @@ __version__ = "1.0.0"
 # 2: GELU's cube is two multiplies instead of float32 ``pow``.
 NUMERICS_VERSION = 2
 
-__all__ = ["NUMERICS_VERSION", "__version__"]
+__all__ = ["ALLOCATOR", "NUMERICS_VERSION", "__version__"]
+
+
+def _keep_freed_heap() -> str:
+    """Keep glibc's freed heap in the process; return the allocator state.
+
+    Both thresholds are pinned at the ceilings of glibc's own dynamic
+    rule on 64-bit: setting either one alone switches that rule off and
+    faults more (see docs/architecture.md).
+    """
+    try:
+        libc = _os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (AttributeError, ValueError, OSError):
+        libc = ""
+    if not libc.startswith("glibc"):
+        return "default (not glibc)"
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1; mallopt returns 1 on success.
+    if mallopt(-3, 32 << 20) != 1 or mallopt(-1, 64 << 20) != 1:
+        return "default (mallopt refused the thresholds)"
+    return "glibc heap kept (mmap threshold 32 MiB, trim threshold 64 MiB)"
+
+
+# Shown by ``repro selfcheck``.
+ALLOCATOR = _keep_freed_heap()
 
 if _os.environ.get("REPRO_VERIFY", "").strip() not in ("", "0"):
     from repro.verify.invariants import install as _install_invariants

@@ -22,7 +22,7 @@ argument accepted throughout.
 """
 
 from repro.nn import functional
-from repro.nn.init import normal_, uniform_, xavier_uniform_, zeros_
+from repro.nn.init import xavier_uniform_
 from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear, Sequential
 from repro.nn.losses import (
     binary_cross_entropy_with_logits,
@@ -33,13 +33,12 @@ from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, clip_grad_norm_
 from repro.nn.random import RandomState, seed_all
 from repro.nn.rnn import GRU, GRUCell
-from repro.nn.schedules import ConstantSchedule, LinearWarmupDecay
+from repro.nn.schedules import LinearWarmupDecay
 from repro.nn.serialization import load_state_dict, save_state_dict
 from repro.nn.tensor import Tensor, no_grad, tensor
 
 __all__ = [
     "Adam",
-    "ConstantSchedule",
     "Dropout",
     "Embedding",
     "GRU",
@@ -60,11 +59,8 @@ __all__ = [
     "load_state_dict",
     "nll_loss",
     "no_grad",
-    "normal_",
     "save_state_dict",
     "seed_all",
     "tensor",
-    "uniform_",
     "xavier_uniform_",
-    "zeros_",
 ]

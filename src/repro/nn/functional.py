@@ -1,8 +1,9 @@
 """Neural-network functional ops built on :class:`repro.nn.tensor.Tensor`.
 
 Each op either composes differentiable Tensor primitives or registers a
-custom backward closure for numerical stability (softmax, log-softmax,
-layer norm).  All ops are gradient-checked in ``tests/test_nn_functional``.
+custom backward closure, for numerical stability (softmax, log-softmax,
+layer norm, GELU) or to keep the tape short (linear).  All ops are
+gradient-checked in ``tests/test_nn_functional``.
 """
 
 from __future__ import annotations
@@ -11,16 +12,17 @@ import math
 
 import numpy as np
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _unbroadcast
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically-stable softmax along ``axis`` with a fused backward."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out = exp / exp.sum(axis=axis, keepdims=True)
+    # Shift, exponentiate and normalise in one buffer.
+    out = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -28,7 +30,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
             inner = (grad * out).sum(axis=axis, keepdims=True)
             x._accumulate(out * (grad - inner))
 
-    return x._make_child(out.astype(x.dtype), (x,), backward)
+    return x._make_child(out, (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -52,11 +54,18 @@ def gelu(x: Tensor) -> Tensor:
     # rounding.  The cube may overflow to inf at extreme |x|; tanh
     # saturates it to +/-1 and the output correctly degenerates to x (or
     # 0), so only silence the spurious warning rather than clamp.
+    # The inner polynomial is built in one buffer, in the order
+    # ``c * (x + 0.044715 * x*x*x)``; ``0.5 * x`` comes first in the
+    # output because ``x * (1 + tanh)`` would overflow near float32 max.
     with np.errstate(over="ignore"):
-        x3 = x.data * x.data * x.data
-        inner = _SQRT_2_OVER_PI * (x.data + 0.044715 * x3)
-    tanh_inner = np.tanh(inner)
-    out = 0.5 * x.data * (1.0 + tanh_inner)
+        inner = x.data * x.data
+        inner *= x.data
+        inner *= 0.044715
+        inner += x.data
+        inner *= _SQRT_2_OVER_PI
+    tanh_inner = np.tanh(inner, out=inner)
+    out = 0.5 * x.data
+    out *= 1.0 + tanh_inner
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -70,7 +79,7 @@ def gelu(x: Tensor) -> Tensor:
                 tail = np.where(sech2 == 0.0, 0.0, sech2 * d_inner)
             x._accumulate(grad * (0.5 * (1.0 + tanh_inner) + 0.5 * x.data * tail))
 
-    return x._make_child(out.astype(x.dtype), (x,), backward)
+    return x._make_child(out, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -93,10 +102,10 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
     their gradients through the tape.
     """
     mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    normalized = x.data - mean
+    var = (normalized * normalized).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    normalized = centered * inv_std
+    normalized *= inv_std
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -105,7 +114,7 @@ def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Te
             gx_sum = (grad * normalized).sum(axis=-1, keepdims=True)
             x._accumulate(inv_std * (grad - g_sum / n - normalized * gx_sum / n))
 
-    norm = x._make_child(normalized.astype(x.dtype), (x,), backward)
+    norm = x._make_child(normalized, (x,), backward)
     return norm * weight + bias
 
 
@@ -153,11 +162,36 @@ def attention_mask_bias(mask: np.ndarray, dtype=np.float32, neg: float = -1e9) -
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` (PyTorch weight layout)."""
-    out = x.matmul(weight.transpose())
+    """Affine map ``x @ weight.T + bias`` (PyTorch weight layout).
+
+    One tape node whose backward computes the same products as
+    ``x.matmul(weight.transpose()) + bias`` would, so outputs and
+    gradients equal that composition bit for bit (pinned in
+    ``tests/test_nn_functional.py``).  Only the order in which one
+    weight's gradients are summed can differ, when that weight is applied
+    three or more times in a direct chain of its own outputs.  The matmul
+    stays batched for 3-D input: as one 2-D GEMM, BLAS would pick its
+    kernel by row count, so a row's result would depend on its batch.
+    """
+    out = x.data @ weight.data.T
     if bias is not None:
-        out = out + bias
-    return out
+        out += bias.data
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data)
+        if weight.requires_grad:
+            if x.ndim == 1:
+                grad_w = np.outer(grad, x.data)
+            else:
+                grad_w = _unbroadcast(np.swapaxes(x.data, -1, -2) @ grad,
+                                      weight.shape[::-1]).T
+            weight._accumulate(grad_w)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, bias.shape))
+
+    return x._make_child(out, parents, backward)
 
 
 def mean_pool(x: Tensor, mask: np.ndarray, axis: int = 1, eps: float = 1e-9) -> Tensor:

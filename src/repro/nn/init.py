@@ -14,22 +14,6 @@ import numpy as np
 from repro.nn.tensor import Tensor
 
 
-def zeros_(param: Tensor) -> Tensor:
-    param.data[...] = 0.0
-    return param
-
-
-def normal_(param: Tensor, rng: np.random.Generator, std: float = 0.02, mean: float = 0.0) -> Tensor:
-    """BERT-style truncated-free normal init (plain normal, std 0.02)."""
-    param.data[...] = rng.normal(mean, std, size=param.shape).astype(param.dtype)
-    return param
-
-
-def uniform_(param: Tensor, rng: np.random.Generator, low: float = -0.1, high: float = 0.1) -> Tensor:
-    param.data[...] = rng.uniform(low, high, size=param.shape).astype(param.dtype)
-    return param
-
-
 def xavier_uniform_(param: Tensor, rng: np.random.Generator, gain: float = 1.0) -> Tensor:
     """Glorot uniform init for 2-D weights (fan computed from the shape)."""
     if param.ndim < 2:

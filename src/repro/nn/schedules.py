@@ -39,18 +39,6 @@ class Schedule:
             self.optimizer.lr = self.lr_at(self._count)
 
 
-class ConstantSchedule(Schedule):
-    """Keeps the learning rate fixed (useful for tests and ablations)."""
-
-    def __init__(self, optimizer: Optimizer, lr: float):
-        super().__init__(optimizer)
-        self._lr = lr
-        optimizer.lr = lr
-
-    def lr_at(self, step: int) -> float:
-        return self._lr
-
-
 class LinearWarmupDecay(Schedule):
     """Linear warmup to ``peak_lr`` then linear decay to zero.
 

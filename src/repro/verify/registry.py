@@ -414,6 +414,18 @@ def _case_linear(rng):
         "x": x, "weight": weight, "bias": bias}
 
 
+@register("functional.linear_2d", ["repro.nn.functional.linear"])
+def _case_linear_2d(rng):
+    from repro.nn import functional as F
+
+    # (batch, hidden) input, the shape every classification head sees.
+    x = _leaf(rng, 4, 6)
+    weight = _leaf(rng, 3, 6)
+    bias = _leaf(rng, 3)
+    return (lambda: F.linear(x, weight, bias)), {
+        "x": x, "weight": weight, "bias": bias}
+
+
 @register("functional.mean_pool", ["repro.nn.functional.mean_pool"])
 def _case_mean_pool(rng):
     from repro.nn import functional as F

@@ -1,6 +1,7 @@
 """``repro selfcheck`` — one-shot numerical certification of the stack.
 
-Runs, in order:
+Prints the allocator state (see :data:`repro.ALLOCATOR`), then runs, in
+order:
 
 1. **registry discovery** — every op/layer must be gradient-checked or
    explicitly exempt (and no case may target something deleted);
@@ -21,6 +22,7 @@ import argparse
 import sys
 from typing import Callable
 
+import repro
 from repro.verify import golden
 from repro.verify.gradcheck import GradcheckResult
 from repro.verify.invariants import InvariantViolation, guard_report, guarded
@@ -31,6 +33,7 @@ def run_selfcheck(quick: bool = False, seed: int = 0,
                   out: Callable[[str], None] = print) -> int:
     """Run every verification layer; returns a process exit code."""
     failures: list[str] = []
+    out(f"allocator: {repro.ALLOCATOR}")
 
     # 1. Discovery ------------------------------------------------------
     report = discover()

@@ -1,5 +1,6 @@
 """Tests for repro.nn.functional ops (values + gradient checks)."""
 
+import math
 import warnings
 
 import numpy as np
@@ -273,3 +274,82 @@ class TestGradcheckAuditRegressions:
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         assert F.dropout(x, 0.0, True, np.random.default_rng(0)) is x
         assert F.dropout(x, 0.5, False, np.random.default_rng(0)) is x
+
+
+# The composed float32 formulas that softmax, layer_norm, gelu and linear
+# replaced, kept here so the one-buffer rewrites stay bitwise identical.
+def _softmax_reference(x, axis=-1):
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    out = exp / exp.sum(axis=axis, keepdims=True)
+
+    def backward(grad):
+        inner = (grad * out).sum(axis=axis, keepdims=True)
+        x._accumulate(out * (grad - inner))
+
+    return x._make_child(out.astype(x.dtype), (x,), backward)
+
+
+def _layer_norm_reference(x, weight, bias, eps=1e-5):
+    mean = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    normalized = centered * inv_std
+
+    def backward(grad):
+        n = x.shape[-1]
+        g_sum = grad.sum(axis=-1, keepdims=True)
+        gx_sum = (grad * normalized).sum(axis=-1, keepdims=True)
+        x._accumulate(inv_std * (grad - g_sum / n - normalized * gx_sum / n))
+
+    return x._make_child(normalized.astype(x.dtype), (x,), backward) * weight + bias
+
+
+def _gelu_reference(x):
+    c = math.sqrt(2.0 / math.pi)
+    x3 = x.data * x.data * x.data
+    tanh_inner = np.tanh(c * (x.data + 0.044715 * x3))
+    out = 0.5 * x.data * (1.0 + tanh_inner)
+
+    def backward(grad):
+        sech2 = 1.0 - tanh_inner * tanh_inner
+        d_inner = c * (1.0 + 3 * 0.044715 * x.data * x.data)
+        tail = np.where(sech2 == 0.0, 0.0, sech2 * d_inner)
+        x._accumulate(grad * (0.5 * (1.0 + tanh_inner) + 0.5 * x.data * tail))
+
+    return x._make_child(out.astype(x.dtype), (x,), backward)
+
+
+def _linear_reference(x, weight, bias):
+    return x.matmul(weight.transpose()) + bias
+
+
+class TestBitwiseAgainstComposedReference:
+    # op -> (rewrite, composed reference, shapes of its parameter leaves)
+    CASES = {
+        "softmax": (F.softmax, _softmax_reference, []),
+        "layer_norm": (F.layer_norm, _layer_norm_reference, [(64,), (64,)]),
+        "gelu": (F.gelu, _gelu_reference, []),
+        "linear": (F.linear, _linear_reference, [(16, 64), (16,)]),
+    }
+
+    @pytest.mark.parametrize("shape", [(4, 54, 64), (16, 64)], ids=["3d", "2d"])
+    @pytest.mark.parametrize("op", sorted(CASES))
+    def test_outputs_and_grads_equal(self, op, shape):
+        fn, reference, param_shapes = self.CASES[op]
+        rng = np.random.default_rng(3)
+        inputs = [(rng.normal(size=shape) * 3).astype(np.float32)] + [
+            rng.normal(size=s).astype(np.float32) for s in param_shapes]
+        upstream = None
+        results = []
+        for impl in (fn, reference):
+            leaves = [Tensor(a, requires_grad=True) for a in inputs]
+            out = impl(*leaves)
+            if upstream is None:
+                upstream = rng.normal(size=out.shape).astype(np.float32)
+            out.backward(upstream)
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        assert results[0][0].dtype == np.float32
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)

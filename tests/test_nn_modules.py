@@ -9,7 +9,7 @@ from repro.nn.losses import binary_cross_entropy_with_logits, cross_entropy, nll
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, clip_grad_norm_
 from repro.nn.rnn import GRU, GRUCell
-from repro.nn.schedules import ConstantSchedule, LinearWarmupDecay
+from repro.nn.schedules import LinearWarmupDecay
 from repro.nn.serialization import load_state_dict, save_state_dict
 from repro.nn.tensor import Tensor
 from tests.helpers import check_gradient
@@ -273,12 +273,6 @@ class TestOptim:
 class TestSchedules:
     def _optimizer(self):
         return SGD([Parameter(np.zeros(1))], lr=1.0)
-
-    def test_constant(self):
-        opt = self._optimizer()
-        sched = ConstantSchedule(opt, lr=0.5)
-        for _ in range(5):
-            assert sched.step() == 0.5
 
     def test_warmup_then_decay(self):
         opt = self._optimizer()
