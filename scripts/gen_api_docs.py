@@ -22,6 +22,27 @@ def first_line(doc: str | None) -> str:
     return doc.strip().splitlines()[0]
 
 
+class _Name(str):
+    """A default value shown by name: its ``repr`` is the bare text."""
+
+    __repr__ = str.__str__
+
+
+def render_signature(obj) -> str:
+    """``obj``'s signature, callable defaults as ``module.qualname``.
+
+    A function's ``repr`` carries its memory address, which would change
+    the page on every regeneration.
+    """
+    signature = inspect.signature(obj)
+    parameters = [
+        p.replace(default=_Name(f"{p.default.__module__}.{p.default.__qualname__}"))
+        if p.default is not p.empty and callable(p.default) else p
+        for p in signature.parameters.values()
+    ]
+    return str(signature.replace(parameters=parameters))
+
+
 def describe_module(name: str) -> list[str]:
     module = importlib.import_module(name)
     lines = [f"### `{name}`", ""]
@@ -35,7 +56,7 @@ def describe_module(name: str) -> list[str]:
             continue
         if inspect.isclass(attr) or inspect.isfunction(attr):
             try:
-                signature = str(inspect.signature(attr))
+                signature = render_signature(attr)
             except (TypeError, ValueError):
                 signature = "(...)"
             kind = "class" if inspect.isclass(attr) else "def"

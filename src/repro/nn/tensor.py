@@ -77,7 +77,8 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name",
+                 "_grad_owned")
 
     __array_priority__ = 100  # make numpy defer to our reflected operators
 
@@ -90,6 +91,7 @@ class Tensor:
         self._backward = None
         self._parents: tuple[Tensor, ...] = ()
         self.name = name
+        self._grad_owned = False
 
     # ------------------------------------------------------------------
     # Basic protocol
@@ -146,6 +148,7 @@ class Tensor:
         out.requires_grad = tracked
         out.grad = None
         out.name = None
+        out._grad_owned = False
         if tracked:
             out._parents = tuple(parents)
             out._backward = backward
@@ -157,14 +160,32 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = grad.astype(self.data.dtype, copy=False)
         if self.grad is None:
-            self.grad = grad.copy()
-        else:
+            # An op result borrows a C-contiguous gradient (nothing writes
+            # into a borrowed array).  A strided one is copied to C order:
+            # over another memory layout numpy's reductions sum in another
+            # order, which would change the gradients' bits.
+            self._grad_owned = self._backward is None or not grad.flags.c_contiguous
+            self.grad = grad.copy() if self._grad_owned else grad
+        elif self._grad_owned:
             self.grad += grad
+        else:
+            self.grad = self.grad + grad
+            self._grad_owned = True
 
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor through the recorded tape.
 
         ``grad`` defaults to ones (scalar outputs may omit it).
+
+        Gradient ownership: a leaf (a tensor no op produced, such as a
+        parameter) copies its first contribution, so its ``.grad`` never
+        aliases an array the caller or an op still holds.  An op result
+        borrows a C-contiguous contribution without copying and allocates
+        its own array when a second contribution arrives.  Each op
+        result's ``.grad`` is released (set to ``None``) once its backward
+        has run, so after this call only leaves hold gradients, and
+        calling ``backward()`` again on the same graph accumulates into
+        the leaves exactly once more.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -196,6 +217,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # ------------------------------------------------------------------
     # Elementwise arithmetic

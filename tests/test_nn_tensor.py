@@ -304,3 +304,88 @@ class TestGraphTopology:
         assert x.grad is not None
         x.zero_grad()
         assert x.grad is None
+
+    def test_second_backward_adds_one_more_gradient(self):
+        # Each sweep must start from empty intermediate grads; a stale one
+        # left by the first sweep would be pushed down again (30, not 12).
+        x = tensor([1.0], requires_grad=True)
+        mid = x * 2
+        out = (mid * 3).sum()
+        out.backward()
+        out.backward()
+        np.testing.assert_array_equal(x.grad, [12.0])
+        assert mid.grad is None and out.grad is None
+
+    def test_leaf_grad_does_not_alias_caller_grad(self):
+        w = tensor([1.0, 2.0], requires_grad=True)
+        g = np.array([1.0, 1.0], dtype=np.float32)
+        (w + 0).backward(g)
+        g *= 5.0
+        np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+
+    def test_shared_gradient_array_is_not_written_in_place(self):
+        # The final ``u + h`` hands one array to both u and h; u's backward
+        # hands it on to h (its second contribution) and then to w.  h
+        # must not add into that array in place, or w receives 2g.
+        x = tensor([1.0], requires_grad=True, dtype=np.float64)
+        h = x * 2
+        w = x * 3
+        u = h + w
+        (u + h).sum().backward()     # d/dx = 2 + 3 + 2
+        np.testing.assert_array_equal(x.grad, [7.0])
+
+
+def _copying_accumulate(self, grad):
+    """Reference accumulation: every first contribution is copied."""
+    grad = grad.astype(self.data.dtype, copy=False)
+    if self.grad is None:
+        self.grad = grad.copy()
+    else:
+        self.grad += grad
+
+
+class TestGradientOwnership:
+    """Borrowing op-result gradients must leave every bit unchanged."""
+
+    @pytest.fixture(scope="class")
+    def emba_step(self):
+        from repro.bert.config import PRESETS
+        from repro.bert.model import BertModel
+        from repro.data.loader import PairEncoder, collate
+        from repro.data.registry import load_dataset
+        from repro.models import Emba
+        from repro.text import WordPieceTokenizer, train_wordpiece
+
+        ds = load_dataset("wdc_computers", size="small", seed=0)
+        texts = [r.text() for p in ds.train for r in (p.record1, p.record2)]
+        tokenizer = WordPieceTokenizer(train_wordpiece(texts, vocab_size=500))
+        config = PRESETS["mini-base"].with_vocab(len(tokenizer.vocab))
+        encoder = PairEncoder(tokenizer, max_length=96)
+        batch = collate(encoder.encode_many(ds.train, ds)[:16])
+
+        def grads():
+            model = Emba(BertModel(config, np.random.default_rng(0)),
+                         config.hidden_size, max(ds.num_id_classes, 1),
+                         np.random.default_rng(1))
+            model.train()
+            loss = model.loss(model(batch), batch)
+            loss.backward()
+            return {name: p.grad for name, p in model.named_parameters()
+                    if p.grad is not None}
+
+        return grads
+
+    def test_emba_train_step_grads_bitwise_equal_copying_reference(
+            self, emba_step, monkeypatch):
+        borrowed = emba_step()
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "_accumulate", _copying_accumulate)
+            copied = emba_step()
+        assert borrowed.keys() == copied.keys()
+        # Every head of Eq. 3's loss is reached; only the unused pooler isn't.
+        for head in ("em_head", "id1_head", "id2_head", "encoder.embeddings",
+                     "encoder.encoder.layer1"):
+            assert any(name.startswith(head) for name in borrowed), head
+        differ = [name for name in borrowed
+                  if not np.array_equal(borrowed[name], copied[name])]
+        assert not differ, f"gradients differ from the copying reference: {differ}"
