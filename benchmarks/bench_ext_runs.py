@@ -5,7 +5,8 @@ run the trainer pays one ``is None`` check per batch, and with a run
 recording but probes disabled (the library default) the per-step JSONL
 append must stay under 3% of step time.  This bench fits the same tiny
 model three ways — plain, recording, recording+probes — and records the
-overhead ratios; the acceptance bar gates the probes-off path.
+overhead ratios; the acceptance bar gates the probes-off path on the
+median of paired per-round ratios.
 """
 
 import tempfile
@@ -14,7 +15,12 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.helpers import RESULTS_DIR, record_bench, run_once
+from benchmarks.helpers import (
+    RESULTS_DIR,
+    paired_overhead,
+    record_bench,
+    run_once,
+)
 from repro.bert.config import BertConfig
 from repro.bert.model import BertModel
 from repro.data.loader import PairEncoder
@@ -23,6 +29,9 @@ from repro.models import Emba, TrainConfig, Trainer
 from repro.runs import ProbeConfig, RunStore
 from repro.runs import store as runstore
 from repro.text import WordPieceTokenizer, train_wordpiece
+
+# Rounds of one fit per variant: 10 rounds x 3 variants = 30 fits.
+ROUNDS = 10
 
 
 @pytest.fixture(scope="module")
@@ -64,10 +73,9 @@ def test_recording_and_probe_overhead(benchmark, workload, request):
     store = RunStore(tempfile.mkdtemp(prefix="bench-runs-"))
 
     def measure():
-        # Interleave the variants and keep each one's minimum: load
-        # spikes only ever add time, so min-of-N with round-robin
-        # ordering cancels drift that a sequential best-of would
-        # misattribute to one variant.
+        # Each round fits every variant once, in an order that reverses
+        # between rounds, and the overheads are medians of the per-round
+        # ratios against that round's plain fit (see paired_overhead).
         variants = {
             "plain": lambda: fit_once(build_model, train, valid),
             "recorded": lambda: fit_once(build_model, train, valid,
@@ -76,15 +84,19 @@ def test_recording_and_probe_overhead(benchmark, workload, request):
                                        store=store,
                                        probes=ProbeConfig(interval=5)),
         }
-        best = dict.fromkeys(variants, float("inf"))
-        for _ in range(5):
-            for name, thunk in variants.items():
-                best[name] = min(best[name], thunk())
-        return best["plain"], best["recorded"], best["probed"]
+        times = {name: [] for name in variants}
+        for round_index in range(ROUNDS):
+            order = list(variants)
+            if round_index % 2:
+                order.reverse()
+            for name in order:
+                times[name].append(variants[name]())
+        return times
 
-    plain, recorded, probed = run_once(benchmark, measure)
-    recording_overhead = recorded / plain - 1.0
-    probe_overhead = probed / plain - 1.0
+    times = run_once(benchmark, measure)
+    plain = float(np.median(times["plain"]))
+    recording_overhead = paired_overhead(times["plain"], times["recorded"])
+    probe_overhead = paired_overhead(times["plain"], times["probed"])
     # The bar: recording with probes off must be within 3% of a fit
     # that records nothing at all.
     assert recording_overhead < 0.03, \

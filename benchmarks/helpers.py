@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -34,6 +37,20 @@ def run_once(benchmark, fn):
     the honest measurement.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def paired_overhead(baseline: Sequence[float],
+                    treated: Sequence[float]) -> float:
+    """Median over rounds of ``treated / baseline``, minus 1.
+
+    Each round times both variants back to back (alternate their order
+    between rounds), so host drift scales both halves of a pair alike
+    and cancels in its ratio; the median then ignores the rounds a load
+    spike hit on one side only.
+    """
+    if len(baseline) != len(treated) or len(baseline) == 0:
+        raise ValueError("need one baseline and one treated time per round")
+    return float(np.median(np.asarray(treated) / np.asarray(baseline))) - 1.0
 
 
 def value_of(cell) -> float:

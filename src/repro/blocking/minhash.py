@@ -24,25 +24,7 @@ _MERSENNE = (1 << 61) - 1
 _MASK29 = np.uint64((1 << 29) - 1)
 _MASK32 = np.uint64((1 << 32) - 1)
 _P = np.uint64(_MERSENNE)
-
-
-def _mulmod61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Exact ``(a * x) mod (2^61 - 1)`` for uint64 operands below the prime.
-
-    The plain product overflows 64 bits (a < 2^61, x < 2^61 gives up to
-    122 bits), so both operands are split into 32-bit halves and the
-    partial products are folded with the Mersenne identities
-    ``2^61 ≡ 1`` and ``2^64 ≡ 8 (mod p)``.  Every intermediate stays
-    below 2^63, so uint64 arithmetic never wraps.
-    """
-    a_hi, a_lo = a >> np.uint64(32), a & _MASK32          # a_hi < 2^29
-    x_hi, x_lo = x >> np.uint64(32), x & _MASK32
-    low = (a_lo * x_lo) % _P                              # < 2^64 pre-mod
-    mid = a_lo * x_hi + a_hi * x_lo                       # < 2^62
-    # mid * 2^32 = (mid >> 29) * 2^61 + (mid & mask29) * 2^32
-    mid = ((mid >> np.uint64(29)) + ((mid & _MASK29) << np.uint64(32))) % _P
-    high = (a_hi * x_hi * np.uint64(8)) % _P              # * 2^64 ≡ * 8
-    return (low + mid + high) % _P
+_29, _32, _61 = np.uint64(29), np.uint64(32), np.uint64(61)
 
 
 class MinHashBlocker(Blocker):
@@ -60,16 +42,36 @@ class MinHashBlocker(Blocker):
                                dtype=np.int64).astype(np.uint64)
         self._b = rng.integers(0, _MERSENNE, size=num_hashes,
                                dtype=np.int64).astype(np.uint64)
+        # Column halves of a (a_hi < 2^29, a_lo < 2^32) and b, broadcast
+        # against a row of token hashes in :meth:`signature`.
+        self._a_hi = (self._a >> _32)[:, None]
+        self._a_lo = (self._a & _MASK32)[:, None]
+        self._b_col = self._b[:, None]
 
     def signature(self, tokens: set[str]) -> np.ndarray:
-        """MinHash signature (``num_hashes`` minima) of a token set."""
+        """MinHash signature (``num_hashes`` minima) of a token set.
+
+        Exact ``min((a * x + b) mod p)`` with ``p = 2^61 - 1`` in uint64
+        arithmetic that never wraps.  It relies on ``x < 2^32`` (token
+        hashes are 32-bit FNV-1a), so ``a * x = a_lo*x + (a_hi*x)*2^32``
+        with ``a_lo*x < 2^64`` and ``a_hi*x < 2^61``.  Both parts fold
+        by ``2^61 ≡ 1 (mod p)``: ``v ≡ (v & p) + (v >> 61)``, and for
+        ``mid = a_hi*x``,
+        ``mid*2^32 ≡ (mid >> 29) + ((mid & mask29) << 32)``.
+        With ``b`` added the sum stays below 2^63; one more fold leaves
+        ``h < p + 4``, and ``min(h, h - p)`` (``h - p`` wraps when
+        ``h < p``) is ``h mod p``.
+        """
         if not tokens:
             return np.full(self.num_hashes, _MERSENNE, dtype=np.uint64)
-        values = np.array([fnv1a(t) for t in tokens], dtype=np.uint64)
-        # (H, T) matrix of hashed values; min over tokens.
-        hashed = (_mulmod61(self._a[:, None], values[None, :])
-                  + self._b[:, None]) % _P
-        return hashed.min(axis=1)
+        x = np.array([fnv1a(t) for t in tokens], dtype=np.uint64)
+        # (H, T) matrices of partial products; min over tokens.
+        low = self._a_lo * x
+        mid = self._a_hi * x
+        h = ((low & _P) + (low >> _61) + (mid >> _29)
+             + ((mid & _MASK29) << _32) + self._b_col)
+        h = (h & _P) + (h >> _61)
+        return np.minimum(h, h - _P).min(axis=1)
 
     def estimated_jaccard(self, sig_a: np.ndarray, sig_b: np.ndarray) -> float:
         """Fraction of agreeing minima — an unbiased Jaccard estimate."""

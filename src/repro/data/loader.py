@@ -222,19 +222,3 @@ def plan_buckets(lengths: Sequence[int], batch_size: int,
     if current:
         buckets.append(np.array(current, dtype=np.int64))
     return buckets
-
-
-def iter_bucketed_batches(encoded: Sequence[EncodedPair], batch_size: int,
-                          max_pad_waste: float = 0.25, pad_id: int = 0
-                          ) -> Iterator[tuple[Batch, np.ndarray]]:
-    """Yield length-bucketed padded batches with their original indices.
-
-    Unlike :func:`iter_batches` this sorts by sequence length so each
-    batch pads to a near-uniform length, bounding padding waste.  Each
-    yielded pair is ``(batch, indices)`` where ``indices[i]`` is the
-    position of batch row ``i`` in ``encoded`` — callers scatter outputs
-    through it to restore the original order.
-    """
-    for bucket in plan_buckets([e.length for e in encoded], batch_size,
-                               max_pad_waste=max_pad_waste):
-        yield collate([encoded[i] for i in bucket], pad_id=pad_id), bucket

@@ -23,7 +23,12 @@ Writers that need per-record integrity (the WAL) wrap each payload in a
 CRC-32 envelope via :func:`encode_line` / ``checksum=True``: the line
 becomes ``{"c": "<crc32 of canonical payload JSON>", "d": <payload>}``,
 so a torn or bit-flipped record fails loudly instead of decoding to a
-plausible-but-wrong op.
+plausible-but-wrong op.  The payload is serialized once: the canonical
+text the CRC covers is spliced into the envelope as is, which is byte
+for byte what ``json.dumps`` of the whole envelope with ``sort_keys``
+would write.  Reading (:func:`decode_line`) still re-serializes the
+decoded payload to verify the CRC; that re-encode is the integrity
+check.
 """
 
 from __future__ import annotations
@@ -59,8 +64,9 @@ def encode_line(payload: dict, checksum: bool = False) -> str:
         return json.dumps(payload)
     body = _canonical(payload)
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return json.dumps({"c": f"{crc:08x}", "d": payload},
-                      sort_keys=True, separators=(",", ":"))
+    # The canonical envelope spelled out: sort_keys puts "c" first, and
+    # the payload is encoded with the same separators and ensure_ascii.
+    return f'{{"c":"{crc:08x}","d":{body}}}'
 
 
 def decode_line(raw: str, checksum: bool = False) -> dict:

@@ -19,7 +19,8 @@ _TOKEN = re.compile(r"[a-z0-9]+|[^a-z0-9\s]")
 def normalize_text(text: str) -> str:
     """Lowercase and collapse whitespace; strip control characters."""
     text = text.lower()
-    text = "".join(ch for ch in text if ch.isprintable() or ch in "\t\n ")
+    if not text.isprintable():
+        text = "".join(ch for ch in text if ch.isprintable() or ch in "\t\n ")
     return _WHITESPACE.sub(" ", text).strip()
 
 

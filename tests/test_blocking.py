@@ -148,12 +148,13 @@ class TestMinHashExactArithmetic:
             for a, b in zip(blocker._a, blocker._b)
         ]
 
-    @given(st.sets(st.text(alphabet="abcdefgh0123", min_size=1, max_size=6),
-                   min_size=1, max_size=10),
+    @given(st.sets(st.text(alphabet="abcdefgh0123-/.éß中\u200b😀",
+                           min_size=1, max_size=6),
+                   min_size=1, max_size=30),
            st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
     def test_signature_matches_exact_minima(self, tokens, seed):
-        blocker = MinHashBlocker(num_hashes=8, bands=4, seed=seed)
+        blocker = MinHashBlocker(num_hashes=48, bands=12, seed=seed)
         assert blocker.signature(tokens).tolist() == \
             self.exact_signature(blocker, tokens)
 
@@ -168,18 +169,55 @@ class TestMinHashExactArithmetic:
             587489269562786492, 230239323508036448,
         ]
 
-    def test_mulmod_matches_python_ints(self):
-        from repro.blocking.minhash import _MERSENNE, _mulmod61
+    @staticmethod
+    def with_params(blocker, a, b):
+        """Force the hash parameters ``a`` and ``b`` (one per hash)."""
+        blocker._a = np.array(a, dtype=np.uint64)
+        blocker._b = np.array(b, dtype=np.uint64)
+        blocker._a_hi = (blocker._a >> np.uint64(32))[:, None]
+        blocker._a_lo = (blocker._a & np.uint64(2**32 - 1))[:, None]
+        blocker._b_col = blocker._b[:, None]
+        return blocker
 
-        rng = np.random.default_rng(3)
-        # Worst-case operands right below the prime, where int64 wraps.
-        a = rng.integers(_MERSENNE - 10**6, _MERSENNE, size=200,
-                         dtype=np.int64).astype(np.uint64)
-        x = rng.integers(_MERSENNE - 10**6, _MERSENNE, size=200,
-                         dtype=np.int64).astype(np.uint64)
-        got = _mulmod61(a, x)
-        expected = [(int(ai) * int(xi)) % _MERSENNE for ai, xi in zip(a, x)]
-        assert got.tolist() == expected
+    def test_extreme_operands_match_python_ints(self, monkeypatch):
+        # Token hashes forced to the edges of the 32-bit range and
+        # (a, b) to the edges of [1, p) x [0, p): every fold reaches its
+        # bound, and a*x + b = p (a = x = 1, b = p - 1) leaves exactly p
+        # before the final reduction.
+        from repro.blocking import minhash
+        from repro.blocking.minhash import _MERSENNE as p
+
+        monkeypatch.setattr(minhash, "fnv1a", int)
+        a_values = [1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**61 - 2**32,
+                    p - 2, p - 1]
+        b_values = [0, 1, 2**32, p - 2, p - 1]
+        pairs = [(a, b) for a in a_values for b in b_values]
+        blocker = self.with_params(
+            MinHashBlocker(num_hashes=len(pairs), bands=1),
+            [a for a, _ in pairs], [b for _, b in pairs])
+        xs = [0, 1, 2, 7, 2**29, 2**31, 2**32 - 2, 2**32 - 1]
+        for token_set in [{str(x)} for x in xs] + [{str(x) for x in xs}]:
+            values = [int(t) for t in token_set]
+            expected = [min((a * v + b) % p for v in values)
+                        for a, b in pairs]
+            assert blocker.signature(token_set).tolist() == expected
+
+    def test_pinned_offer_stream_digest(self):
+        # sha256 of the signatures of 500 WDC offers, recorded before the
+        # integer-fold rewrite of ``signature``.  Snapshots persist band
+        # keys, so any changed bit would orphan recovered records.
+        import hashlib
+
+        from repro.data.generators.wdc import wdc_offer_stream
+        from repro.text.normalize import basic_tokenize
+
+        blocker = MinHashBlocker(num_hashes=96, bands=8, seed=0)
+        digest = hashlib.sha256()
+        for _key, record in wdc_offer_stream("computers", 500, seed=0):
+            tokens = set(basic_tokenize(record.text()))
+            digest.update(blocker.signature(tokens).tobytes())
+        assert digest.hexdigest() == (
+            "f94a15803ea04062f4d2bb46b6e2b89061a83b5b871f5c6d32f16eea330a3649")
 
     def test_signatures_below_prime(self):
         from repro.blocking.minhash import _MERSENNE

@@ -11,7 +11,6 @@ from repro.blocking import MatchingPipeline, TokenBlocker
 from repro.data.loader import (
     PairEncoder,
     collate,
-    iter_bucketed_batches,
     plan_buckets,
 )
 from repro.data.schema import EntityPair, EntityRecord
@@ -132,19 +131,6 @@ class TestPlanBuckets:
             plan_buckets([1, 2], 0)
         with pytest.raises(ValueError):
             plan_buckets([1, 2], 4, max_pad_waste=1.0)
-
-    def test_iter_bucketed_batches_covers_all(self, encoder):
-        rng = np.random.default_rng(7)
-        encoded = [encoder.encode(p) for p in _random_pairs(rng, num_pairs=23)]
-        seen = []
-        for batch, index in iter_bucketed_batches(encoded, 5):
-            assert batch.size == len(index)
-            for row, i in enumerate(index):
-                np.testing.assert_array_equal(
-                    batch.input_ids[row, :encoded[i].length],
-                    encoded[i].input_ids)
-            seen.extend(index.tolist())
-        assert sorted(seen) == list(range(len(encoded)))
 
 
 # ----------------------------------------------------------------------

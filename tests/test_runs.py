@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from benchmarks.helpers import paired_overhead
 from repro.bert.config import BertConfig
 from repro.bert.model import BertModel
 from repro.cli import main
@@ -546,3 +547,42 @@ class TestEndToEnd:
         # The same candidate passes with the health gate off.
         assert main(["runs", "check", "faulty", "--baseline", "clean",
                      "--f1-tol", "0", "--no-health"]) == 0
+
+
+class TestPairedOverheadGate:
+    """The recording-overhead bar of ``benchmarks/bench_ext_runs.py``:
+    the median of 10 paired per-round ratios against a 3% bound, on
+    synthetic fit times with host drift, per-fit noise and load spikes."""
+
+    BOUND = 0.03
+
+    @staticmethod
+    def rounds(seed: int, overhead: float, count: int = 10):
+        rng = np.random.default_rng(seed)
+        drift = np.exp(rng.normal(0.0, 0.15, count))   # shared by a round
+
+        def fits(scale):
+            noise = np.exp(rng.normal(0.0, 0.02, count))
+            spikes = np.where(rng.random(count) < 0.1, 1.3, 1.0)
+            return 0.7 * scale * drift * noise * spikes
+
+        return fits(1.0), fits(1.0 + overhead)
+
+    def test_ten_percent_overhead_trips(self):
+        for seed in range(20):
+            assert paired_overhead(*self.rounds(seed, 0.10)) >= self.BOUND
+
+    def test_aa_noise_does_not_trip(self):
+        for seed in range(20):
+            assert paired_overhead(*self.rounds(seed, 0.0)) < self.BOUND
+
+    def test_pairs_cancel_drift(self):
+        plain = [1.0, 2.0, 0.5]
+        assert paired_overhead(plain, [1.1 * t for t in plain]) == \
+            pytest.approx(0.1)
+
+    def test_needs_one_pair_per_round(self):
+        with pytest.raises(ValueError):
+            paired_overhead([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError):
+            paired_overhead([], [])

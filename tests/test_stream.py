@@ -9,8 +9,12 @@ buffers appends in user space, so raising at a fault site and
 separately by byte-level truncation of the journal file.
 """
 
+import hashlib
 import itertools
 import json
+import shutil
+import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +116,19 @@ class TestJsonl:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_jsonl_payloads(tmp_path / "absent.jsonl")
+
+    @pytest.mark.parametrize("payload", [
+        {"name": "Schärfe 中文 😀", "note": "tab\there"},
+        {"p": 0.1, "q": 1e-7, "r": -0.0, "big": 2**61 - 1},
+        {"nested": [[1, [2.5, "x"]], {"z": [], "a": {}}]},
+        {},
+        {1: "one", 2: ["two"]},
+    ])
+    def test_checksummed_line_is_envelope_json(self, payload):
+        body = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        crc = f"{zlib.crc32(body.encode('utf-8')) & 0xFFFFFFFF:08x}"
+        assert encode_line(payload, checksum=True) == json.dumps(
+            {"c": crc, "d": payload}, sort_keys=True, separators=(",", ":"))
 
 
 # ======================================================================
@@ -558,6 +575,53 @@ class TestStreamPipeline:
         path.write_text(encode_line(payload, checksum=True) + "\n")
         with pytest.raises(ValueError):
             StreamPipeline(tmp_path, JaccardScorer(), _FAST)
+
+
+# ======================================================================
+# Journal bytes (pinned before the single-encode and integer-MinHash
+# rewrites of the ingest path)
+# ======================================================================
+_JOURNAL_FIXTURE = Path(__file__).parent / "data" / "stream_journal"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestJournalBytes:
+    def test_wal_and_snapshot_bytes_pinned(self, tmp_path):
+        with StreamPipeline(tmp_path, JaccardScorer(), _FAST) as pipe:
+            pipe.extend(wdc_offer_stream("computers", 300, seed=0,
+                                         offers_per_product=4))
+            pipe.flush()
+            assert _sha256(tmp_path / "wal.jsonl") == (
+                "4ac1becc8f87e646d0ca32a275259b7f"
+                "97e33855b0b7822fd7b19588fc998577")
+            pipe.snapshot()
+        assert _sha256(tmp_path / "snapshot.json") == (
+            "b4007321641816a10a62ccc853c65d58"
+            "9e1937d01345c34ffbccb2a95850e270")
+
+    def test_recorded_journal_recovers_to_live_state(self, tmp_path):
+        # tests/data/stream_journal was written by the code before those
+        # rewrites: 24 offers, flush, snapshot, 16 more offers and one
+        # delete left in the WAL tail.  Replaying it must rebuild the
+        # state the current code reaches live, band keys included.
+        stream = list(wdc_offer_stream("computers", 40, seed=1,
+                                       offers_per_product=4))
+        live = StreamPipeline(tmp_path / "live", JaccardScorer(), _FAST)
+        live.extend(stream[:24])
+        live.flush()
+        live.snapshot()
+        live.extend(stream[24:])
+        live.delete(stream[3][0])
+        shutil.copytree(_JOURNAL_FIXTURE, tmp_path / "recorded")
+        recovered = StreamPipeline(tmp_path / "recorded", JaccardScorer(),
+                                   _FAST)
+        assert recovered.wal.stats.replayed > 0
+        assert _canonical_state(recovered) == _canonical_state(live)
+        live.close()
+        recovered.close()
 
 
 # ======================================================================

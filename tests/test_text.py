@@ -1,5 +1,7 @@
 """Tests for the tokenization substrate (repro.text)."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,16 @@ class TestNormalize:
 
     def test_empty(self):
         assert basic_tokenize("") == []
+
+    @given(st.text(alphabet=st.sampled_from(
+        ["\x00", "\t", "\n", " ", "\u200b", "\x7f", "\x85", "a", "B",
+         "z", "0", "-", "É", "İ", "中"]), max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_character_filter(self, text):
+        # The printable fast path must equal filtering every character.
+        filtered = "".join(ch for ch in text.lower()
+                           if ch.isprintable() or ch in "\t\n ")
+        assert normalize_text(text) == re.sub(r"\s+", " ", filtered).strip()
 
 
 class TestVocabulary:
