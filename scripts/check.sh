@@ -1,19 +1,18 @@
 #!/usr/bin/env bash
-# Repo check: tier-1 tests, the numerical verify stage (slow-marked
-# sweeps + `repro selfcheck`; the slow marks include the `repro serve`
-# CLI parity/saturation test and the 100k-offer kill-and-recover stream
-# test), the crash-recovery suite under runtime invariants, the
-# telemetry (obs) suite, the run-registry stage (registry suite,
-# recording/probe overhead bench, and a seeded smoke run gated against
-# the committed baseline by the `repro runs check` watchdog), the serve
-# and stream test batteries, the explain stage (explain test battery +
+# Repo check: tier-1 tests (every suite under tests/, obs, runs, serve,
+# stream and explain included, minus the slow marks), the numerical
+# verify stage (slow-marked sweeps + `repro selfcheck`; the slow marks
+# include the `repro serve` CLI parity/saturation test and the
+# 100k-offer kill-and-recover stream test), the crash-recovery suite
+# under runtime invariants, the recording/probe overhead bench, the slo
+# stage (a short traced 2-shard serve workload recorded into the
+# registry and gated by `repro slo check` against the committed
+# tests/baselines/serve_slo.json objectives), the explain bench (the
 # attention-faithfulness bench, gated against
-# tests/baselines/explain_bench.json so
-# interpretability regressions — faithfulness gap, LIME/AoA agreement —
-# trip the watchdog like F1 regressions), and the slo stage (a short
-# traced 2-shard serve workload recorded into the registry and gated by
-# `repro slo check` against the committed tests/baselines/serve_slo.json
-# objectives).
+# tests/baselines/explain_bench.json so interpretability regressions —
+# faithfulness gap, LIME/AoA agreement — trip the watchdog like F1
+# regressions), and a seeded smoke run gated against the committed
+# baseline by the `repro runs check` watchdog.
 #
 #   bash scripts/check.sh
 #
@@ -37,18 +36,11 @@ python -m repro.cli selfcheck
 echo "== faults: crash-recovery matrix under runtime invariants =="
 REPRO_VERIFY=1 python -m pytest -q tests/test_crash_recovery.py
 
-echo "== obs: telemetry suite =="
-python -m pytest -q tests/test_obs.py
-
-echo "== runs: registry suite + recording/probe overhead bench =="
-python -m pytest -q tests/test_runs.py
+echo "== runs: recording/probe overhead bench =="
 python -m pytest -q benchmarks/bench_ext_runs.py
 
 RUNS_TMP="$(mktemp -d)"
 trap 'rm -rf "$RUNS_TMP"' EXIT
-
-echo "== serve: daemon test battery =="
-python -m pytest -q tests/test_serve.py
 
 echo "== slo: traced serve workload gated by repro slo check =="
 REPRO_RUNS_DIR="$RUNS_TMP" python scripts/serve_workload.py \
@@ -57,11 +49,7 @@ REPRO_RUNS_DIR="$RUNS_TMP" python scripts/serve_workload.py \
 REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli slo check slo-smoke \
     --spec tests/baselines/serve_slo.json
 
-echo "== stream: durable-resolution suite =="
-python -m pytest -q tests/test_stream.py
-
-echo "== explain: faithfulness suite + bench vs baseline =="
-python -m pytest -q tests/test_explain.py
+echo "== explain: faithfulness bench vs baseline =="
 REPRO_RUNS_DIR="$RUNS_TMP" python -m pytest -q benchmarks/bench_explain.py --record
 REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli runs check bench-explain \
     --baseline tests/baselines/explain_bench.json \

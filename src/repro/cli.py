@@ -188,9 +188,10 @@ def _cmd_serve(args) -> int:
 
     # --record registers the serve session as a kind="serve" run: live
     # slo_breach events stream into its series while it runs, and the
-    # final lifetime metrics (the shape `repro slo check` audits) seal
-    # the manifest at shutdown.  Shard workers fork *before* recording
-    # starts and are covered by the runs fork hook either way.
+    # final metrics (the shape `repro slo check` audits: lifetime counts,
+    # p50/p99 over the trailing --window-s) seal the manifest at
+    # shutdown.  Shard workers fork *before* recording starts and are
+    # covered by the runs fork hook either way.
     writer = None
     if args.record:
         from repro.runs import RunStore, recording

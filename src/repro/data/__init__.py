@@ -19,7 +19,7 @@ from repro.data.imbalance import lrid, subsample_positives
 from repro.data.loader import Batch, EncodedPair, PairEncoder, iter_batches
 from repro.data.registry import DATASET_NAMES, WDC_SIZES, dataset_summary, load_dataset
 from repro.data.schema import EMDataset, EntityPair, EntityRecord
-from repro.data.serialize import serialize_pair_text, serialize_record
+from repro.data.serialize import serialize_record
 from repro.data.splits import train_valid_test_split
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "load_dataset_csv",
     "load_pairs_csv",
     "lrid",
-    "serialize_pair_text",
     "save_dataset_csv",
     "save_pairs_csv",
     "serialize_record",

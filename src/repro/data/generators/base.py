@@ -41,11 +41,6 @@ def model_code(rng: np.random.Generator, blocks: tuple[int, ...] = (4, 4)) -> st
     return "-".join(pieces)
 
 
-def numeric_spec(rng: np.random.Generator, values: list[int], unit: str) -> str:
-    """A numeric spec token such as ``4gb`` or ``520mb``."""
-    return f"{rng.choice(values)}{unit}"
-
-
 # ----------------------------------------------------------------------
 # Noise model: how two offers for the same entity differ
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ Three styles:
 
 from __future__ import annotations
 
-from repro.data.schema import EntityPair, EntityRecord
+from repro.data.schema import EntityRecord
 from repro.text.special_tokens import COL_TOKEN, VAL_TOKEN
 
 STYLES = ("plain", "ditto", "described")
@@ -39,11 +39,3 @@ def serialize_record(record: EntityRecord, style: str = "plain") -> str:
         ]
         return " ".join(parts)
     raise ValueError(f"unknown serialization style {style!r}; expected one of {STYLES}")
-
-
-def serialize_pair_text(pair: EntityPair, style: str = "plain") -> tuple[str, str]:
-    """Serialized text of both records (tokenizer adds [CLS]/[SEP] later)."""
-    return (
-        serialize_record(pair.record1, style=style),
-        serialize_record(pair.record2, style=style),
-    )

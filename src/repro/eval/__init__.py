@@ -1,10 +1,5 @@
 """repro.eval — metrics, significance testing, throughput, and reporting."""
 
-from repro.eval.consistency import (
-    ConsistencyReport,
-    consistency_report,
-    id_equality_as_matcher_f1,
-)
 from repro.eval.efficiency import (
     ThroughputResult,
     measure_engine_throughput,
@@ -14,7 +9,6 @@ from repro.eval.metrics import (
     accuracy,
     binary_f1,
     confusion,
-    macro_f1,
     micro_f1,
     precision_recall_f1,
 )
@@ -26,17 +20,13 @@ from repro.eval.threshold import (
 )
 
 __all__ = [
-    "ConsistencyReport",
     "ThroughputResult",
     "accuracy",
     "best_f1_threshold",
     "binary_f1",
     "calibrate_model",
     "confusion",
-    "consistency_report",
-    "id_equality_as_matcher_f1",
     "format_table",
-    "macro_f1",
     "measure_engine_throughput",
     "measure_throughput",
     "micro_f1",

@@ -1,7 +1,7 @@
 """Classification metrics.
 
-Binary precision/recall/F1 for the main EM task and accuracy / micro-F1 /
-macro-F1 for the multi-class entity-ID tasks (the paper reports accuracy
+Binary precision/recall/F1 for the main EM task and accuracy / micro-F1
+for the multi-class entity-ID tasks (the paper reports accuracy
 per task plus a micro-F1 pooled over both ID predictions).
 """
 
@@ -57,23 +57,3 @@ def micro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     two ID tasks before micro-averaging).
     """
     return accuracy(y_true, y_pred)
-
-
-def macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Macro-averaged F1 over the classes present in ``y_true``."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    classes = np.unique(y_true)
-    if classes.size == 0:
-        return 0.0
-    scores = []
-    for c in classes:
-        tp = int(((y_true == c) & (y_pred == c)).sum())
-        fp = int(((y_true != c) & (y_pred == c)).sum())
-        fn = int(((y_true == c) & (y_pred != c)).sum())
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        scores.append(
-            2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        )
-    return float(np.mean(scores))

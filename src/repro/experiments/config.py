@@ -187,9 +187,11 @@ PROFILES: dict[str, Profile] = {
 def training_schedule(dataset: str, size: str) -> dict:
     """Per-dataset fine-tuning schedule (epochs, patience, learning rate).
 
-    Mirrors the paper's setup (50 epochs, patience 10, lr sweep) scaled to
-    mini models: the smallest training sets need more epochs before the
+    Mirrors the paper's setup (50 epochs, patience 10) scaled to mini
+    models: the smallest training sets need more epochs before the
     minority (match) class is learned at all, larger sets converge sooner.
+    The rate is fixed per dataset family in place of the paper's
+    learning-rate sweep (see EXPERIMENTS.md).
     """
     # Patience must exceed the "cold-start" phase: with heavy class
     # imbalance the models predict all-negative (validation F1 = 0) for

@@ -2,27 +2,12 @@
 
 Entity matching produces pairwise match decisions; entity *resolution*
 turns them into a partition of the records (each cluster = one
-real-world entity).  This package provides:
-
-- :func:`resolve_clusters` — connected-component resolution over
-  thresholded match decisions (with optional transitivity repair by
-  dropping the weakest edges of over-merged components);
-- cluster-level quality metrics: pairwise precision/recall/F1 against a
-  gold clustering, and cluster homogeneity/completeness counts.
+real-world entity).  :func:`resolve_clusters` does this by
+connected-component resolution over thresholded match decisions, with
+optional transitivity repair by dropping the weakest edges of
+over-merged components.
 """
 
-from repro.resolution.clusters import (
-    ClusteringMetrics,
-    Resolution,
-    pairwise_cluster_metrics,
-    resolve_clusters,
-)
-from repro.resolution.mining import mine_hard_negatives
+from repro.resolution.clusters import Resolution, resolve_clusters
 
-__all__ = [
-    "ClusteringMetrics",
-    "Resolution",
-    "mine_hard_negatives",
-    "pairwise_cluster_metrics",
-    "resolve_clusters",
-]
+__all__ = ["Resolution", "resolve_clusters"]

@@ -1,4 +1,4 @@
-"""Cluster resolution and cluster-level evaluation.
+"""Cluster resolution: pairwise match decisions to an entity partition.
 
 Pairwise match probabilities (e.g. from
 :class:`repro.blocking.pipeline.MatchingPipeline`) become an entity
@@ -120,54 +120,3 @@ def resolve_clusters(records: Sequence[Hashable],
     clusters.sort(key=lambda c: (-len(c), sorted(map(str, c))))
     return Resolution(clusters=clusters)
 
-
-@dataclass
-class ClusteringMetrics:
-    """Pairwise cluster-quality metrics against a gold partition."""
-
-    precision: float
-    recall: float
-    f1: float
-    predicted_clusters: int
-    gold_clusters: int
-
-
-def _co_clustered_pairs(assignment: dict[Hashable, int]) -> set[frozenset]:
-    by_cluster: dict[int, list[Hashable]] = {}
-    for record, cluster in assignment.items():
-        by_cluster.setdefault(cluster, []).append(record)
-    pairs: set[frozenset] = set()
-    for members in by_cluster.values():
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                pairs.add(frozenset((a, b)))
-    return pairs
-
-
-def pairwise_cluster_metrics(predicted: Resolution,
-                             gold: dict[Hashable, Hashable]) -> ClusteringMetrics:
-    """Pairwise precision/recall/F1 of a predicted partition.
-
-    ``gold`` maps each record to its true entity identifier.  A record
-    pair counts as correct when both partitions co-cluster it.
-    """
-    predicted_assignment = predicted.cluster_of()
-    gold_ids = sorted({str(v) for v in gold.values()})
-    gold_index = {g: i for i, g in enumerate(gold_ids)}
-    gold_assignment = {r: gold_index[str(v)] for r, v in gold.items()}
-
-    predicted_pairs = _co_clustered_pairs(
-        {r: c for r, c in predicted_assignment.items() if r in gold}
-    )
-    gold_pairs = _co_clustered_pairs(gold_assignment)
-
-    true_positive = len(predicted_pairs & gold_pairs)
-    precision = true_positive / len(predicted_pairs) if predicted_pairs else 0.0
-    recall = true_positive / len(gold_pairs) if gold_pairs else 0.0
-    f1 = (2 * precision * recall / (precision + recall)
-          if precision + recall else 0.0)
-    return ClusteringMetrics(
-        precision=precision, recall=recall, f1=f1,
-        predicted_clusters=predicted.num_clusters,
-        gold_clusters=len(set(gold_assignment.values())),
-    )

@@ -39,7 +39,6 @@ from repro.runs.store import (
     RunWriter,
     activate,
     active,
-    deactivate,
     default_root,
     record_event,
     record_step,
@@ -50,7 +49,7 @@ from repro.runs.store import (
 __all__ = [
     "HEALTH_COUNTERS", "ProbeConfig", "Prober", "RunRecord", "RunStore",
     "RunWriter", "Tolerance", "activate", "active", "attention_entropy",
-    "check_regression", "deactivate", "default_root", "diff_runs", "entropy",
+    "check_regression", "default_root", "diff_runs", "entropy",
     "gamma_concentration", "load_baseline", "manifest_diff", "metric_deltas",
     "record_event", "record_step", "recording", "render_curve", "render_list",
     "render_show", "truncate_active",

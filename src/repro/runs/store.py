@@ -402,11 +402,6 @@ def activate(writer: RunWriter) -> None:
     _ACTIVE = writer
 
 
-def deactivate() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
 def record_step(step: int, **values) -> None:
     """Log one step into the active run; no-op when none is recording."""
     if _ACTIVE is not None:

@@ -149,7 +149,6 @@ class MatchServer:
         self.address: tuple[str, int] | None = None
         self.weights_ref = ""
         self._started = 0.0
-        self._latencies: deque[float] = deque(maxlen=4096)
         self._counts = {"received": 0, "completed": 0, "rejected": 0,
                         "errors": 0, "batches": 0, "batched_pairs": 0,
                         "swaps": 0, "retries": 0, "worker_restarts": 0,
@@ -441,7 +440,6 @@ class MatchServer:
         by_connection: dict[int, tuple] = {}
         for pending, (prob, pred, quarantined) in zip(batch, results):
             latency = now - pending.arrival
-            self._latencies.append(latency)
             self._win_latency.observe(latency)
             if quarantined:
                 self._counts["errors"] += 1
@@ -563,7 +561,7 @@ class MatchServer:
         return response
 
     async def _stats_response(self, request: Request) -> dict:
-        """The ``stats`` op: lifetime stats + per-worker model descriptions.
+        """The ``stats`` op: :meth:`stats` + per-worker model descriptions.
 
         ``describe()`` crosses the worker pipe, and a shard mid-death
         raises :class:`WorkerCrash` — the op must *degrade*, never fail:
@@ -599,9 +597,14 @@ class MatchServer:
         return response
 
     def stats(self) -> dict:
-        """Parent-side serving counters + latency percentiles."""
+        """Parent-side lifetime counters + latency percentiles.
+
+        p50/p99 cover the trailing ``config.window_s`` seconds: they are
+        the windowed view's, the same the live SLO check evaluates, and
+        are ranked over at most 512 sampled latencies per 1 s slot.
+        """
         elapsed = max(self.clock() - self._started, 1e-9)
-        latencies = sorted(self._latencies)
+        window = self.window_metrics()
         batches = self._counts["batches"]
         return {
             **self._counts,
@@ -609,10 +612,10 @@ class MatchServer:
             "pairs_per_s": self._counts["completed"] / elapsed,
             "mean_batch_size": (self._counts["batched_pairs"] / batches
                                 if batches else 0.0),
-            "latency_p50_ms": obs.nearest_rank(latencies, 0.50) * 1e3,
-            "latency_p99_ms": obs.nearest_rank(latencies, 0.99) * 1e3,
+            "latency_p50_ms": window["latency_p50_ms"],
+            "latency_p99_ms": window["latency_p99_ms"],
             "weights_ref": self.weights_ref,
-            "window": self.window_metrics(),
+            "window": window,
             "slo": self._slo_status(),
             "workers": [
                 {"index": ws.worker.index, "kind": ws.worker.kind,
@@ -705,7 +708,15 @@ class MatchServer:
             self.check_slo()
 
     def final_metrics(self) -> dict:
-        """Lifetime summary in the shape ``repro slo check`` audits.
+        """Final summary in the shape ``repro slo check`` audits.
+
+        Counts and rates are lifetime; p50/p99 cover the trailing
+        ``config.window_s`` seconds (see :meth:`stats`).  When that
+        window holds fewer latencies than the live check would evaluate
+        (``slo.min_requests``, at least one) — say the daemon sat idle
+        past ``window_s`` before shutdown — p50/p99 are left out, so
+        ``repro slo check`` reports them as unverifiable instead of
+        passing an empty window's 0.0.
 
         Written into the run manifest when ``repro serve --record`` seals
         the serve run (key names match :meth:`SloSpec.evaluate` with
@@ -713,7 +724,7 @@ class MatchServer:
         """
         stats = self.stats()
         answered = (stats["completed"] + stats["rejected"] + stats["errors"])
-        return {
+        metrics = {
             "requests": answered,
             "completed": stats["completed"],
             "rejected": stats["rejected"],
@@ -729,6 +740,11 @@ class MatchServer:
             "slo_breaches": self._counts["slo_breaches"],
             "swaps": stats["swaps"],
         }
+        spec = self.config.slo
+        needed = max(spec.min_requests if spec else 1, 1)
+        if self._win_latency.count() < needed:
+            del metrics["latency_p50_ms"], metrics["latency_p99_ms"]
+        return metrics
 
 
 class ServerHandle:

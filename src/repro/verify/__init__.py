@@ -30,7 +30,7 @@ from repro.verify.invariants import (
     installed,
     uninstall,
 )
-from repro.verify.registry import all_cases, discover, run_case, run_all_cases
+from repro.verify.registry import all_cases, discover, run_case
 
 __all__ = [
     "GradcheckResult",
@@ -42,7 +42,6 @@ __all__ = [
     "guarded",
     "install",
     "installed",
-    "run_all_cases",
     "run_case",
     "to_float64",
     "uninstall",

@@ -82,10 +82,6 @@ def all_cases(quick: bool = False) -> list[CheckCase]:
     return cases
 
 
-def get_case(name: str) -> CheckCase:
-    return _CASES[name]
-
-
 def run_case(case: CheckCase, seed: int = 0) -> GradcheckResult:
     """Build and execute one case."""
     rng = np.random.default_rng(seed)
@@ -95,19 +91,6 @@ def run_case(case: CheckCase, seed: int = 0) -> GradcheckResult:
         atol=case.atol, max_elements_per_leaf=case.max_elements_per_leaf,
         seed=seed,
     )
-
-
-def run_all_cases(seed: int = 0, quick: bool = False,
-                  progress: Callable[[GradcheckResult], None] | None = None
-                  ) -> list[GradcheckResult]:
-    """Run the whole sweep; never raises — callers inspect ``passed``."""
-    results = []
-    for case in all_cases(quick=quick):
-        result = run_case(case, seed=seed)
-        if progress is not None:
-            progress(result)
-        results.append(result)
-    return results
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.data.imbalance import (
     subsample_positives,
 )
 from repro.data.schema import EMDataset, EntityPair, EntityRecord
-from repro.data.serialize import serialize_pair_text, serialize_record
+from repro.data.serialize import serialize_record
 from repro.data.splits import train_valid_test_split
 
 
@@ -76,11 +76,6 @@ class TestSerialize:
     def test_unknown_style(self):
         with pytest.raises(ValueError):
             serialize_record(make_record("a"), style="nope")
-
-    def test_pair_text(self):
-        pair = EntityPair(make_record("left"), make_record("right"), 0)
-        assert serialize_pair_text(pair) == ("left", "right")
-
 
 class TestClustering:
     def test_transitive_closure(self):

@@ -10,7 +10,6 @@ from repro.eval import (
     binary_f1,
     confusion,
     format_table,
-    macro_f1,
     measure_throughput,
     micro_f1,
     one_tailed_t_test,
@@ -68,16 +67,6 @@ class TestMulticlassMetrics:
         t = np.array([0, 1, 2, 2, 1])
         p = np.array([0, 2, 2, 2, 1])
         assert micro_f1(t, p) == accuracy(t, p)
-
-    def test_macro_f1_penalizes_minority_errors(self):
-        # 9 of class 0 right, 1 of class 1 wrong.
-        t = np.array([0] * 9 + [1])
-        p = np.array([0] * 10)
-        assert macro_f1(t, p) < accuracy(t, p)
-
-    def test_macro_f1_perfect(self):
-        t = np.array([0, 1, 2])
-        assert macro_f1(t, t) == 1.0
 
 
 class TestSignificance:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.data.imbalance import lrid
-from repro.eval.metrics import accuracy, binary_f1, macro_f1
+from repro.eval.metrics import accuracy, binary_f1
 from repro.models.aoa import AttentionOverAttention
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -100,7 +100,6 @@ class TestMetricProperties:
     @settings(max_examples=80, deadline=None)
     def test_perfect_prediction_maxima(self, truth):
         assert accuracy(truth, truth) == 1.0
-        assert macro_f1(truth, truth) == 1.0
 
     @given(st.lists(st.integers(1, 300), min_size=2, max_size=8))
     @settings(max_examples=80, deadline=None)

@@ -1,17 +1,11 @@
-"""Tests for cluster resolution, hard-negative mining, and active learning."""
+"""Tests for cluster resolution and active learning."""
 
 import numpy as np
 import pytest
 
-from repro.blocking import TokenBlocker
 from repro.data.registry import load_dataset
-from repro.data.schema import EntityRecord
 from repro.models.active import active_learn, uncertainty
-from repro.resolution import (
-    mine_hard_negatives,
-    pairwise_cluster_metrics,
-    resolve_clusters,
-)
+from repro.resolution import resolve_clusters
 
 
 class TestResolveClusters:
@@ -64,67 +58,6 @@ class TestResolveClusters:
             permuted = [pairs[i] for i in order]
             again = resolve_clusters("edcba", permuted, max_cluster_size=3)
             assert again.clusters == reference.clusters
-
-
-class TestClusterMetrics:
-    def test_perfect_partition(self):
-        resolution = resolve_clusters(["a", "b", "c"], [("a", "b", 0.9)])
-        gold = {"a": "e1", "b": "e1", "c": "e2"}
-        metrics = pairwise_cluster_metrics(resolution, gold)
-        assert metrics.f1 == 1.0
-        assert metrics.gold_clusters == 2
-
-    def test_overmerge_hurts_precision(self):
-        resolution = resolve_clusters(
-            ["a", "b", "c"], [("a", "b", 0.9), ("b", "c", 0.9)])
-        gold = {"a": "e1", "b": "e1", "c": "e2"}
-        metrics = pairwise_cluster_metrics(resolution, gold)
-        assert metrics.recall == 1.0
-        assert metrics.precision < 1.0
-
-    def test_undermerge_hurts_recall(self):
-        resolution = resolve_clusters(["a", "b"], [])
-        metrics = pairwise_cluster_metrics(resolution, {"a": "e", "b": "e"})
-        assert metrics.recall == 0.0
-
-    def test_empty_gold_pairs(self):
-        resolution = resolve_clusters(["a", "b"], [])
-        metrics = pairwise_cluster_metrics(resolution, {"a": "e1", "b": "e2"})
-        assert metrics.f1 == 0.0
-
-
-class TestHardNegativeMining:
-    def _records(self, side):
-        return [
-            EntityRecord.from_dict({"t": f"sandisk card model{i}"},
-                                   entity_id=f"e{i}", source=side)
-            for i in range(6)
-        ]
-
-    def test_mined_pairs_are_negatives(self):
-        rng = np.random.default_rng(0)
-        left, right = self._records("a"), self._records("b")
-        pairs = mine_hard_negatives(left, right, TokenBlocker(), 10, rng)
-        for p in pairs:
-            assert p.label == 0
-            assert p.record1.entity_id != p.record2.entity_id
-
-    def test_budget_respected(self):
-        rng = np.random.default_rng(0)
-        left, right = self._records("a"), self._records("b")
-        pairs = mine_hard_negatives(left, right, TokenBlocker(), 3, rng)
-        assert len(pairs) <= 3
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            mine_hard_negatives([], [], TokenBlocker(), -1,
-                                np.random.default_rng(0))
-
-    def test_unlabeled_records_skipped(self):
-        rng = np.random.default_rng(0)
-        left = [EntityRecord.from_dict({"t": "sandisk card"})]
-        right = [EntityRecord.from_dict({"t": "sandisk card"}, source="b")]
-        assert mine_hard_negatives(left, right, TokenBlocker(), 5, rng) == []
 
 
 class TestActiveLearning:

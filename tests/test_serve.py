@@ -1089,17 +1089,37 @@ class TestLiveTelemetry:
         assert window["latency_p99_ms"] == 0.0
 
     def test_lifetime_p99_is_nearest_rank(self):
-        """stats() ranks like the windowed view: of two requests taking
-        1 ms and 100 ms, the lifetime p99 is the slower one."""
+        """stats() and the sealed p99 are the window's nearest-rank p99:
+        of two requests taking 1 ms and 100 ms, p99 is the slower one."""
         server = MatchServer(
             lambda: MatchScorer(lambda m: m, _LenModel()),
             ServeConfig(port=0), clock=FakeClock(start=1000.0))
         for latency in (0.001, 0.100):
-            server._latencies.append(latency)
             server._win_latency.observe(latency)
         assert server.stats()["latency_p99_ms"] == pytest.approx(100.0)
         assert server.window_metrics()["latency_p99_ms"] == \
             pytest.approx(100.0)
+
+    def test_idle_window_seals_no_latency_percentiles(self):
+        """A session idle past window_s before shutdown has no latencies
+        left to rank: the sealed run carries no p50/p99, and check_run
+        reports the p99 objective as unverifiable instead of passing."""
+        clock = FakeClock(start=1000.0)
+        server = MatchServer(
+            lambda: MatchScorer(lambda m: m, _LenModel()),
+            ServeConfig(port=0, window_s=10.0), clock=clock)
+        for latency in (0.001, 0.100):
+            server._win_latency.observe(latency)
+        server._counts["completed"] = 2
+        assert server.final_metrics()["latency_p99_ms"] == \
+            pytest.approx(100.0)
+        clock.advance(11.0)
+        sealed = server.final_metrics()
+        assert "latency_p50_ms" not in sealed
+        assert "latency_p99_ms" not in sealed
+        spec = SloSpec(p99_ms=250.0, min_requests=1)
+        (violation,) = check_run({"metrics": sealed}, spec, [])
+        assert "recorded no 'latency_p99_ms' metric" in violation
 
     def test_stats_degrades_to_dead_for_killed_shard(self, dual_model,
                                                      encoder):

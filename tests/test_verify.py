@@ -26,7 +26,7 @@ from repro.verify.invariants import (
     check_layer_norm,
     check_softmax_rows,
 )
-from repro.verify.registry import all_cases, get_case
+from repro.verify.registry import all_cases
 
 
 def _leaf(shape, seed=0):
@@ -111,7 +111,8 @@ class TestRegistry:
 
     def test_one_heavy_model_case(self):
         # Keep one full-model loss gradcheck in tier-1 (the paper's model).
-        result = run_case(get_case("models.Emba"))
+        (case,) = [c for c in all_cases() if c.name == "models.Emba"]
+        result = run_case(case)
         assert result.passed, "\n".join(result.failures[:5])
 
 
