@@ -15,9 +15,9 @@ during crash replay — emits nothing.  This is what makes WAL replay
 idempotent: re-applying an op after a crash cannot hand the scorer a
 pair twice.
 
-State is snapshot-friendly: per record we persist only its 12 band
-bucket keys (hex strings), from which the band tables rebuild exactly
-without re-hashing; the emitted set persists as sorted key pairs.
+Persisted state is the emitted set (sorted key pairs) and the hashing
+config.  Band keys are a pure function of a record's tokens and that
+config, so recovery rebuilds the band tables by re-inserting records.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ class IncrementalMinHashIndex:
         self.num_hashes = num_hashes
         self.bands = bands
         self.seed = seed
-        # key -> that record's band bucket keys (hex), one per band.
-        self._band_keys: dict[str, list[str]] = {}
+        # key -> that record's band bucket keys, one per band.
+        self._band_keys: dict[str, list[bytes]] = {}
         # band -> bucket key -> set of record keys in the bucket.
-        self._tables: list[dict[str, set[str]]] = [
+        self._tables: list[dict[bytes, set[str]]] = [
             {} for _ in range(bands)]
         self._emitted: set[tuple[str, str]] = set()
 
@@ -71,17 +71,17 @@ class IncrementalMinHashIndex:
         """Every pair ever surfaced (a copy)."""
         return set(self._emitted)
 
-    def band_keys_of(self, key: str) -> list[str] | None:
+    def band_keys_of(self, key: str) -> list[bytes] | None:
         return list(self._band_keys[key]) if key in self._band_keys else None
 
     # ------------------------------------------------------------------
     # Hashing
     # ------------------------------------------------------------------
-    def band_keys_for(self, tokens: Iterable[str]) -> list[str]:
-        """The record's bucket key per band (hex of the band's rows)."""
+    def band_keys_for(self, tokens: Iterable[str]) -> list[bytes]:
+        """The record's bucket key per band (the raw bytes of its rows)."""
         signature = self._blocker.signature(set(tokens))
         rows = self._blocker.rows
-        return [signature[b * rows:(b + 1) * rows].tobytes().hex()
+        return [signature[b * rows:(b + 1) * rows].tobytes()
                 for b in range(self.bands)]
 
     # ------------------------------------------------------------------
@@ -115,41 +115,34 @@ class IncrementalMinHashIndex:
         band_keys = self._band_keys.pop(key, None)
         if band_keys is None:
             return False
-        for band, bucket_key in enumerate(band_keys):
-            bucket = self._tables[band].get(bucket_key)
-            if bucket is None:
-                continue
+        for table, bucket_key in zip(self._tables, band_keys):
+            bucket = table[bucket_key]
             bucket.discard(key)
             if not bucket:
-                del self._tables[band][bucket_key]
+                del table[bucket_key]
         return True
 
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """JSON-serializable state: per-record band keys + emitted set."""
+        """JSON-serializable state: hashing config + emitted set."""
         return {
             "num_hashes": self.num_hashes,
             "bands": self.bands,
             "seed": self.seed,
-            "band_keys": {k: list(v) for k, v in
-                          sorted(self._band_keys.items())},
             "emitted": sorted(list(p) for p in self._emitted),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Rebuild band tables exactly from persisted band keys."""
+        """Restore the emitted set over empty band tables."""
         for attr in ("num_hashes", "bands", "seed"):
             if int(state[attr]) != getattr(self, attr):
                 raise ValueError(
                     f"index {attr} mismatch: snapshot has {state[attr]}, "
                     f"index built with {getattr(self, attr)}")
-        self._band_keys = {k: list(v) for k, v in state["band_keys"].items()}
+        self._band_keys = {}
         self._tables = [{} for _ in range(self.bands)]
-        for key, band_keys in self._band_keys.items():
-            for band, bucket_key in enumerate(band_keys):
-                self._tables[band].setdefault(bucket_key, set()).add(key)
         self._emitted = {tuple(p) for p in state["emitted"]}
 
     # ------------------------------------------------------------------

@@ -11,8 +11,9 @@
    :class:`JaccardScorer`) and each result is journaled as a ``scored``
    op before being folded into the
    :class:`~repro.stream.clusters.StreamClusterStore`;
-3. every ``snapshot_every`` journaled ops the full pipeline state is
-   snapshotted atomically and the WAL compacted.
+3. every ``snapshot_every`` journaled ops the state that cannot be
+   recomputed (all but the index's band tables, which recovery rebuilds
+   from the records) is snapshotted atomically and the WAL compacted.
 
 Crash semantics
 ---------------
@@ -53,7 +54,7 @@ from repro.stream.index import IncrementalMinHashIndex, pair_key
 from repro.stream.wal import WriteAheadLog
 from repro.text.normalize import basic_tokenize
 
-_STATE_FORMAT = 1
+_STATE_FORMAT = 2      # format 1 also held band keys; loading ignores them
 
 
 @dataclass
@@ -103,6 +104,10 @@ def _payload_record(payload: Mapping) -> EntityRecord:
                                   source=payload.get("source") or "")
 
 
+def _payload_tokens(payload: Mapping) -> list[str]:
+    return basic_tokenize(_payload_record(payload).text())
+
+
 class StreamPipeline:
     """Durable incremental resolution over one WAL directory.
 
@@ -140,20 +145,17 @@ class StreamPipeline:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         with obs.span("stream.recover"):
-            state = self.wal.snapshot_state
-            if state is not None:
-                self._load_state(state)
+            if self.wal.snapshot_state is not None:
+                self._load_state(self.wal.snapshot_state)
+                self.wal.snapshot_state = None
                 self.recovered = True
-            replayed = 0
             for _seq, op in self.wal.replay():
                 self._apply(op)
-                replayed += 1
-            if replayed:
                 self.recovered = True
             if self.recovered:
                 obs.inc("stream.recoveries")
                 runstore.record_event(
-                    "stream.recover", replayed=replayed,
+                    "stream.recover", replayed=self.wal.stats.replayed,
                     snapshot_seq=self.wal.snapshot_seq,
                     records=len(self.records))
 
@@ -208,8 +210,7 @@ class StreamPipeline:
             payload = op["record"]
             is_new = key not in self.records
             self.records[key] = payload
-            tokens = basic_tokenize(_payload_record(payload).text())
-            fresh = self.index.insert(key, set(tokens))
+            fresh = self.index.insert(key, _payload_tokens(payload))
             self.clusters.add(key)
             for pair in fresh:
                 self.pending[pair] = None
@@ -310,12 +311,18 @@ class StreamPipeline:
         }
 
     def _load_state(self, state: dict) -> None:
-        if state.get("format") != _STATE_FORMAT:
+        if state.get("format") not in (1, _STATE_FORMAT):
             raise ValueError(f"unsupported stream state format "
                              f"{state.get('format')!r}")
         self.index.load_state_dict(state["index"])
-        self.clusters.load_state_dict(state["clusters"])
         self.records = dict(state["records"])
+        # A consistent snapshot has emitted every collision among its
+        # records, so rebuilding the band tables emits nothing.
+        for key, payload in self.records.items():
+            if self.index.insert(key, _payload_tokens(payload)):
+                raise ValueError(f"inconsistent stream state: {key!r} "
+                                 f"collides unemitted")
+        self.clusters.load_state_dict(state["clusters"])
         self.pending = {tuple(p): None for p in state["pending"]}
         self.scored_edges = {(a, b): float(p) for a, b, p in state["scored"]}
         self.counters.update(state["counters"])

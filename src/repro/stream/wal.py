@@ -262,7 +262,6 @@ class WriteAheadLog:
             os.replace(tmp, self.snapshot_path)
             _fsync_dir(self.directory)
             self.snapshot_seq = seq
-            self.snapshot_state = state
             self.stats.snapshots += 1
             obs.inc("wal.snapshots")
             self._compact()

@@ -266,7 +266,7 @@ class TestIncrementalIndex:
         keys = index.band_keys_for(tokens)
         for band, key in enumerate(keys):
             lo, hi = band * blocker.rows, (band + 1) * blocker.rows
-            assert key == signature[lo:hi].tobytes().hex()
+            assert key == signature[lo:hi].tobytes()
 
     def test_collisions_match_batch_banding(self):
         """The live index agrees with batch banding over the same corpus."""
@@ -326,6 +326,8 @@ class TestIncrementalIndex:
         assert len(index) == 1
 
     def test_state_roundtrip_rebuilds_tables_exactly(self):
+        """A restore is ``load_state_dict`` plus re-inserting the same
+        tokens; the re-insert emits nothing."""
         index = IncrementalMinHashIndex()
         for i in range(20):
             index.insert(f"r{i}", _tokens(f"brand{i % 4} gadget v{i % 6}"))
@@ -334,6 +336,10 @@ class TestIncrementalIndex:
 
         restored = IncrementalMinHashIndex()
         restored.load_state_dict(state)
+        assert len(restored) == 0
+        for i in range(20):
+            assert restored.insert(
+                f"r{i}", _tokens(f"brand{i % 4} gadget v{i % 6}")) == []
         keys = [f"r{i}" for i in range(20)]
         assert restored.candidates_among(keys) == index.candidates_among(keys)
         assert restored.emitted_pairs() == index.emitted_pairs()
@@ -474,12 +480,22 @@ def _stream(count: int = 120, seed: int = 3):
                             offers_per_product=4)
 
 
+def _full_state(pipe: "StreamPipeline") -> dict:
+    """``pipe._state()`` plus the index's band keys for every live
+    record, which the snapshot leaves out and recovery rebuilds."""
+    state = pipe._state()
+    state["band_keys"] = {key: pipe.index.band_keys_of(key)
+                          for key in pipe.records}
+    state["indexed"] = len(pipe.index)
+    return state
+
+
 def _canonical_state(pipe: "StreamPipeline") -> dict:
-    """Pipeline state minus scheduling artifacts: ``score_calls`` (a
+    """Full pipeline state minus scheduling artifacts: ``score_calls`` (a
     process-local batching counter — replay folds in journaled results
     without re-calling the scorer) and WAL batching both differ across
     crash/recovery schedules; the resolution state must not."""
-    state = pipe._state()
+    state = _full_state(pipe)
     state["counters"] = {k: v for k, v in state["counters"].items()
                          if k != "score_calls"}
     return state
@@ -530,10 +546,12 @@ class TestStreamPipeline:
             pipe.extend(_stream())
             pipe.flush()
             pipe.snapshot()
-            reference = pipe._state()
+            assert pipe.wal.snapshot_state is None  # WAL keeps no copy
+            reference = _full_state(pipe)
         recovered = StreamPipeline(tmp_path, JaccardScorer(), _FAST)
         assert recovered.wal.stats.replayed == 0    # snapshot covers all
-        assert recovered._state() == reference
+        assert recovered.wal.snapshot_state is None
+        assert _full_state(recovered) == reference
         recovered.close()
 
     def test_delete_removes_record_but_keeps_cluster_membership(
@@ -564,22 +582,39 @@ class TestStreamPipeline:
         assert _canonical_state(recovered) == state
         recovered.close()
 
-    def test_unsupported_state_format_refused(self, tmp_path):
-        with StreamPipeline(tmp_path, JaccardScorer(), _FAST) as pipe:
+    @staticmethod
+    def _edit_snapshot(directory, edit) -> None:
+        with StreamPipeline(directory, JaccardScorer(), _FAST) as pipe:
             pipe.extend(_stream(20))
             pipe.flush()
             pipe.snapshot()
-        path = tmp_path / "snapshot.json"
+        path = directory / "snapshot.json"
         payload = decode_line(path.read_text().strip(), checksum=True)
-        payload["state"]["format"] = 99
+        edit(payload["state"])
         path.write_text(encode_line(payload, checksum=True) + "\n")
-        with pytest.raises(ValueError):
+
+    def test_unsupported_state_format_refused(self, tmp_path):
+        for fmt in (3, 99):
+            directory = tmp_path / str(fmt)
+            self._edit_snapshot(directory,
+                                lambda state: state.update(format=fmt))
+            with pytest.raises(ValueError, match="format"):
+                StreamPipeline(directory, JaccardScorer(), _FAST)
+
+    def test_snapshot_missing_an_emitted_collision_refused(self, tmp_path):
+        def drop_one(state):
+            assert state["index"]["emitted"]
+            state["index"]["emitted"].pop()
+
+        self._edit_snapshot(tmp_path, drop_one)
+        with pytest.raises(ValueError, match="collides"):
             StreamPipeline(tmp_path, JaccardScorer(), _FAST)
 
 
 # ======================================================================
 # Journal bytes (pinned before the single-encode and integer-MinHash
-# rewrites of the ingest path)
+# rewrites of the ingest path; the snapshot digest re-pinned when band
+# keys left the snapshot in state format 2)
 # ======================================================================
 _JOURNAL_FIXTURE = Path(__file__).parent / "data" / "stream_journal"
 
@@ -589,6 +624,16 @@ def _sha256(path) -> str:
 
 
 class TestJournalBytes:
+    def test_snapshot_holds_no_band_keys(self, tmp_path):
+        with StreamPipeline(tmp_path, JaccardScorer(), _FAST) as pipe:
+            pipe.extend(_stream(20))
+            pipe.snapshot()
+        state = decode_line((tmp_path / "snapshot.json").read_text().strip(),
+                            checksum=True)["state"]
+        assert state["format"] == 2
+        assert sorted(state["index"]) == ["bands", "emitted", "num_hashes",
+                                          "seed"]
+
     def test_wal_and_snapshot_bytes_pinned(self, tmp_path):
         with StreamPipeline(tmp_path, JaccardScorer(), _FAST) as pipe:
             pipe.extend(wdc_offer_stream("computers", 300, seed=0,
@@ -599,8 +644,8 @@ class TestJournalBytes:
                 "97e33855b0b7822fd7b19588fc998577")
             pipe.snapshot()
         assert _sha256(tmp_path / "snapshot.json") == (
-            "b4007321641816a10a62ccc853c65d58"
-            "9e1937d01345c34ffbccb2a95850e270")
+            "63906526390d678e83d8b03cc236ea95"
+            "d32c6f064c86e4a7ddb8ed24f339e838")
 
     def test_recorded_journal_recovers_to_live_state(self, tmp_path):
         # tests/data/stream_journal was written by the code before those
@@ -621,6 +666,24 @@ class TestJournalBytes:
         assert recovered.wal.stats.replayed > 0
         assert _canonical_state(recovered) == _canonical_state(live)
         live.close()
+        recovered.close()
+
+    def test_format_1_snapshot_rebuilds_its_recorded_band_keys(
+            self, tmp_path):
+        # Recover the recorded snapshot alone (no WAL tail): the tables
+        # rebuilt by re-hashing hold exactly the band keys it recorded.
+        recorded = decode_line(
+            (_JOURNAL_FIXTURE / "snapshot.json").read_text().strip(),
+            checksum=True)["state"]
+        assert recorded["format"] == 1
+        shutil.copy(_JOURNAL_FIXTURE / "snapshot.json", tmp_path)
+        recovered = StreamPipeline(tmp_path, JaccardScorer(), _FAST)
+        assert recovered.wal.stats.replayed == 0
+        hex_keys = recorded["index"]["band_keys"]
+        assert sorted(recovered.records) == sorted(hex_keys)
+        assert len(recovered.index) == len(hex_keys)
+        for key, keys in hex_keys.items():
+            assert [k.hex() for k in recovered.index.band_keys_of(key)] == keys
         recovered.close()
 
 
