@@ -233,7 +233,13 @@ def run_experiment(spec: RunSpec, use_cache: bool = True,
         metrics = _execute(spec, checkpoint=checkpoint, resume=resume,
                            max_retries=max_retries, probe_every=probe_every)
     if use_cache:
-        cache_path.write_text(json.dumps(metrics), encoding="utf-8")
+        # Atomic: a torn entry would fail every later cache hit.
+        tmp = cache_path.with_suffix(".json.tmp")
+        try:
+            tmp.write_text(json.dumps(metrics), encoding="utf-8")
+            os.replace(tmp, cache_path)
+        finally:
+            tmp.unlink(missing_ok=True)
     return metrics
 
 

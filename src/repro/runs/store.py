@@ -182,9 +182,12 @@ class RunWriter:
                 continue
             kept.append(line.raw)
         tmp = path.with_suffix(".jsonl.tmp")
-        tmp.write_text("\n".join(kept) + ("\n" if kept else ""),
-                       encoding="utf-8")
-        os.replace(tmp, path)
+        try:
+            tmp.write_text("\n".join(kept) + ("\n" if kept else ""),
+                           encoding="utf-8")
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
         return len(kept)
 
     # -- artifacts ------------------------------------------------------

@@ -145,6 +145,7 @@ class StreamPipeline:
     # ------------------------------------------------------------------
     def _recover(self) -> None:
         with obs.span("stream.recover"):
+            start = time.perf_counter()
             if self.wal.snapshot_state is not None:
                 self._load_state(self.wal.snapshot_state)
                 self.wal.snapshot_state = None
@@ -157,7 +158,8 @@ class StreamPipeline:
                 runstore.record_event(
                     "stream.recover", replayed=self.wal.stats.replayed,
                     snapshot_seq=self.wal.snapshot_seq,
-                    records=len(self.records))
+                    records=len(self.records),
+                    wall_s=round(time.perf_counter() - start, 6))
 
     # ------------------------------------------------------------------
     # Ingest path

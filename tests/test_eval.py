@@ -88,6 +88,46 @@ class TestSignificance:
         with pytest.raises(ValueError):
             one_tailed_t_test([0.5], [0.4, 0.5])
 
+    # p-values recorded once from SciPy 1.17's stats.ttest_ind(a, b,
+    # equal_var=False, alternative="greater") over the shapes Table 2
+    # produces: 2-5 seeds per side, one side constant (a model stuck at
+    # F1 0), and the degenerate cases.
+    @pytest.mark.parametrize("a,b,expected", [
+        ([0.4, 0.55], [0.3, 0.35], 0.13629480321012818),
+        ([0.5, 0.5218], [0.3182, 0.35], 0.008477464012858961),
+        ([0.81, 0.86, 0.84], [0.78, 0.8, 0.83], 0.0900385345667116),
+        ([0.9, 0.91, 0.89, 0.93], [0.88, 0.9, 0.87, 0.91],
+         0.10562573432120965),
+        ([0.95, 0.96, 0.94, 0.95, 0.96], [0.8, 0.81, 0.79, 0.8, 0.82],
+         1.826923022520644e-08),
+        ([0.72, 0.75, 0.7, 0.74, 0.73], [0.69, 0.74, 0.7],
+         0.18687534825008847),
+        ([0.5, 0.51, 0.52], [0.9, 0.91, 0.92], 0.9999994806102674),
+        # One side constant.
+        ([0.6667, 0.7273], [0.0, 0.0], 0.013828867722812601),
+        ([0.0, 0.0], [0.0, 0.2222], 0.75),
+        ([0.4, 0.45, 0.5, 0.42], [0.3, 0.3, 0.3], 0.0036133414904790696),
+        # Both constant: equal means give NaN, different means 0 or 1.
+        ([0.0, 0.0], [0.0, 0.0], float("nan")),
+        ([0.5, 0.5], [0.25, 0.25], 0.0),
+        ([0.25, 0.25, 0.25], [0.5, 0.5], 1.0),
+        # NaN in either sample propagates.
+        ([float("nan"), 0.5], [0.1, 0.2], float("nan")),
+        ([0.4, 0.5], [0.1, float("nan")], float("nan")),
+    ])
+    def test_matches_recorded_reference_p_values(self, a, b, expected):
+        p = one_tailed_t_test(a, b)
+        if np.isnan(expected):
+            assert np.isnan(p)
+        else:
+            assert p == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_unconverged_tail_raises(self, monkeypatch):
+        from repro.eval import significance
+        monkeypatch.setattr(significance, "_MAX_TERMS", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            one_tailed_t_test([0.4, 0.55], [0.3, 0.35])
+
     @pytest.mark.parametrize("p,stars", [
         (0.5, "ns"), (0.04, "*"), (0.009, "**"), (0.0009, "***"),
         (0.00005, "****"), (float("nan"), "ns"),

@@ -1,5 +1,7 @@
 """Integration tests for the experiment harness (smoke profile)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,26 @@ class TestRunner:
         first = run_experiment(SMOKE, use_cache=True)
         second = run_experiment(SMOKE, use_cache=True)
         assert first == second
+
+    def test_failed_cache_write_leaves_no_partial_entry(self, tmp_path,
+                                                        monkeypatch):
+        from repro.experiments import runner
+
+        def killed(src, dst):
+            raise OSError("killed before the rename")
+
+        replace = os.replace
+        monkeypatch.setattr(runner, "_execute",
+                            lambda spec, **_: {"em_f1": 0.5})
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            run_experiment(SMOKE, record_run=False)
+        assert list((tmp_path / "results").iterdir()) == []
+        # The next run misses the cache cleanly and fills it.
+        monkeypatch.setattr(os, "replace", replace)
+        assert run_experiment(SMOKE, record_run=False) == {"em_f1": 0.5}
+        assert [p.name for p in (tmp_path / "results").iterdir()] == [
+            f"{SMOKE.digest()}.json"]
 
     def test_subsampling_applied(self):
         spec = RunSpec(dataset="wdc_computers", model="deepmatcher",

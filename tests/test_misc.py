@@ -108,20 +108,29 @@ class TestImportLayering:
     """Importing a subsystem loads only what it uses, in a fresh process."""
 
     @staticmethod
-    def _loaded_after(module: str, *probes: str) -> list[str]:
-        code = (f"import sys, {module}; "
-                f"print(*[m for m in {probes!r} if m in sys.modules])")
+    def _loaded_after(module: str) -> list[str]:
+        """Every module that ``import module`` loads."""
+        code = (f"import sys; before = set(sys.modules); import {module}; "
+                f"print(*sorted(set(sys.modules) - before))")
         src = str(Path(repro.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, check=True)
         return proc.stdout.split()
 
-    def test_engine_loads_no_eval_or_scipy_stats(self):
-        assert self._loaded_after("repro.engine", "repro.eval",
-                                  "scipy.stats") == []
+    @pytest.mark.parametrize("module", ["repro.engine", "repro.blocking",
+                                        "repro.models", "repro.stream",
+                                        "repro.serve", "repro.eval"])
+    def test_loads_no_dependency_but_numpy(self, module):
+        loaded = self._loaded_after(module)
+        packages = {m.split(".")[0] for m in loaded if not m.startswith("__")}
+        assert packages - set(sys.stdlib_module_names) - {"repro"} <= {"numpy"}
+        if module == "repro.engine":
+            # The engine must not reach the evaluation layer either.
+            assert "repro.eval" not in loaded
 
     @pytest.mark.parametrize("module", ["repro.data", "repro.resolution",
                                         "repro.stream"])
     def test_clustering_loads_no_networkx(self, module):
-        assert self._loaded_after(module, "networkx") == []
+        assert not [m for m in self._loaded_after(module)
+                    if m.split(".")[0] == "networkx"]

@@ -33,6 +33,8 @@ from repro.jsonl import (
     read_jsonl_payloads,
 )
 from repro.resolution import resolve_clusters
+from repro.runs import store as runstore
+from repro.runs.store import RunStore
 from repro.stream import (
     IncrementalMinHashIndex,
     JaccardScorer,
@@ -553,6 +555,26 @@ class TestStreamPipeline:
         assert recovered.wal.snapshot_state is None
         assert _full_state(recovered) == reference
         recovered.close()
+
+    def test_recovery_event_records_wall_time(self, tmp_path):
+        with StreamPipeline(tmp_path / "wal", JaccardScorer(), _FAST) as pipe:
+            offers = list(_stream(60))
+            pipe.extend(offers[:40])
+            pipe.snapshot()
+            pipe.extend(offers[40:])
+            pipe.flush()
+        writer = RunStore(tmp_path / "runs").create()
+        with runstore.recording(writer):
+            StreamPipeline(tmp_path / "wal", JaccardScorer(), _FAST).close()
+        writer.finish()
+        events = [e for e in RunStore(tmp_path / "runs").get(writer.id)
+                  .events() if e["name"] == "stream.recover"]
+        assert len(events) == 1
+        assert events[0]["records"] == 60
+        assert events[0]["replayed"] > 0
+        assert events[0]["snapshot_seq"] > 0
+        assert isinstance(events[0]["wall_s"], float)
+        assert events[0]["wall_s"] >= 0.0
 
     def test_delete_removes_record_but_keeps_cluster_membership(
             self, tmp_path):
