@@ -1,13 +1,12 @@
 """Benchmark session support.
 
 At the end of a benchmark session, every table/figure rendering saved
-under ``results/`` is echoed into the terminal report so the rendered
-reproductions appear in ``bench_output.txt`` alongside the timing table.
+under ``RESULTS_DIR`` (``results/`` by default, see ``benchmarks.helpers``)
+is echoed into the terminal report so the rendered reproductions appear
+in ``bench_output.txt`` alongside the timing table.
 """
 
-from pathlib import Path
-
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+from benchmarks.helpers import RESULTS_DIR
 
 
 def pytest_addoption(parser):

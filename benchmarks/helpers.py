@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+# Where benchmarks save their renderings: the committed ``results/``
+# unless REPRO_BENCH_RESULTS_DIR names another directory (check.sh uses a
+# temporary one, so a check run leaves committed files alone).
+RESULTS_DIR = Path(os.environ.get("REPRO_BENCH_RESULTS_DIR")
+                   or Path(__file__).resolve().parent.parent / "results")
 
 
 def record_bench(request, name: str, **metrics) -> None:

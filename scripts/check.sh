@@ -12,7 +12,9 @@
 # tests/baselines/explain_bench.json so interpretability regressions —
 # faithfulness gap, LIME/AoA agreement — trip the watchdog like F1
 # regressions), and a seeded smoke run gated against the committed
-# baseline by the `repro runs check` watchdog.
+# baseline by the `repro runs check` watchdog.  Benchmarks save their
+# renderings to a temporary directory, and the last stage fails if any
+# file under results/ changed.
 #
 #   bash scripts/check.sh
 #
@@ -23,6 +25,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+# Benchmarks and recorded runs write to a temporary directory, never to
+# the committed results/ (the last stage checks that nothing there moved).
+CHECK_TMP="$(mktemp -d)"
+trap 'rm -rf "$CHECK_TMP"' EXIT
+RUNS_TMP="$CHECK_TMP/runs"
+export REPRO_BENCH_RESULTS_DIR="$CHECK_TMP/results"
+mkdir -p "$RUNS_TMP" "$REPRO_BENCH_RESULTS_DIR"
+results_state() { find results -type f -exec sha256sum {} + | sort; }
+RESULTS_BEFORE="$(results_state)"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
@@ -38,9 +50,6 @@ REPRO_VERIFY=1 python -m pytest -q tests/test_crash_recovery.py
 
 echo "== runs: recording/probe overhead bench =="
 python -m pytest -q benchmarks/bench_ext_runs.py
-
-RUNS_TMP="$(mktemp -d)"
-trap 'rm -rf "$RUNS_TMP"' EXIT
 
 echo "== slo: traced serve workload gated by repro slo check =="
 REPRO_RUNS_DIR="$RUNS_TMP" python scripts/serve_workload.py \
@@ -62,3 +71,9 @@ REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli run \
 REPRO_RUNS_DIR="$RUNS_TMP" python -m repro.cli runs check watchdog-smoke \
     --baseline tests/baselines/runs_smoke.json --f1-tol 0.05
 
+echo "== results/: no stage rewrote a committed result =="
+if [ "$(results_state)" != "$RESULTS_BEFORE" ]; then
+    echo "check.sh changed files under results/:" >&2
+    git status --porcelain results/ >&2
+    exit 1
+fi

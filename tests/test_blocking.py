@@ -171,12 +171,16 @@ class TestMinHashExactArithmetic:
 
     @staticmethod
     def with_params(blocker, a, b):
-        """Force the hash parameters ``a`` and ``b`` (one per hash)."""
+        """Force the hash parameters ``a`` and ``b`` (one per hash).
+
+        Only on an unused blocker: memoized rows were hashed with the
+        old parameters, and forced ones must never meet them.
+        """
+        assert not blocker._memo, "with_params on a blocker with rows"
         blocker._a = np.array(a, dtype=np.uint64)
         blocker._b = np.array(b, dtype=np.uint64)
-        blocker._a_hi = (blocker._a >> np.uint64(32))[:, None]
-        blocker._a_lo = (blocker._a & np.uint64(2**32 - 1))[:, None]
-        blocker._b_col = blocker._b[:, None]
+        blocker._a_hi = blocker._a >> np.uint64(32)
+        blocker._a_lo = blocker._a & np.uint64(2**32 - 1)
         return blocker
 
     def test_extreme_operands_match_python_ints(self, monkeypatch):
@@ -204,8 +208,11 @@ class TestMinHashExactArithmetic:
 
     def test_pinned_offer_stream_digest(self):
         # sha256 of the signatures of 500 WDC offers, recorded before the
-        # integer-fold rewrite of ``signature``.  Snapshots persist band
-        # keys, so any changed bit would orphan recovered records.
+        # integer-fold rewrite of ``signature``.  Any changed bit breaks
+        # stream == batch parity, and recovery re-hashes every snapshot
+        # record: ``_load_state`` refuses a snapshot whose rebuild emits a
+        # pair.  One blocker hashes all 500 offers, so most signatures
+        # here come from memoized token rows: the digest pins that path.
         import hashlib
 
         from repro.data.generators.wdc import wdc_offer_stream
@@ -218,6 +225,47 @@ class TestMinHashExactArithmetic:
             digest.update(blocker.signature(tokens).tobytes())
         assert digest.hexdigest() == (
             "f94a15803ea04062f4d2bb46b6e2b89061a83b5b871f5c6d32f16eea330a3649")
+
+    def test_memo_hits_and_misses_stay_exact(self):
+        # Overlapping sets in both orders: each set is all-miss, all-hit
+        # or mixed against the rows its predecessors left memoized.
+        sets = [{"ssd", "evo", "1tb"}, {"evo", "ssd"}, {"1tb", "hdd", "wd"},
+                {"wd", "evo"}, {"red"}, {"red", "ssd", "blue", "hdd"}]
+        for order in (sets, sets[::-1]):
+            blocker = MinHashBlocker(num_hashes=24, bands=6, seed=3)
+            seen: set[str] = set()
+            kinds = set()
+            for tokens in order:
+                missing = len(tokens - seen)
+                kinds.add("miss" if missing == len(tokens)
+                          else "hit" if missing == 0 else "mixed")
+                sig = blocker.signature(tokens)
+                assert sig.tolist() == self.exact_signature(blocker, tokens)
+                seen |= tokens
+                assert set(blocker._memo) == seen
+                sig[:] = 0  # a returned signature never aliases a row
+            assert kinds == {"miss", "hit", "mixed"}
+            for tokens in order:
+                assert blocker.signature(tokens).tolist() == \
+                    self.exact_signature(blocker, tokens)
+
+    def test_memo_eviction_stays_exact_and_bounded(self, monkeypatch):
+        from repro.blocking import minhash
+
+        monkeypatch.setattr(minhash, "_MEMO_TOKENS", 8)
+        rng = np.random.default_rng(0)
+        vocab = [f"tok{i}" for i in range(20)]
+        blocker = MinHashBlocker(num_hashes=16, bands=4, seed=1)
+        sizes = []
+        for _ in range(50):
+            tokens = set(rng.choice(vocab, size=int(rng.integers(1, 11))))
+            sig = blocker.signature(tokens)
+            assert sig.tolist() == self.exact_signature(blocker, tokens)
+            assert len(blocker._memo) <= 8
+            sizes.append(len(blocker._memo))
+        # The memo both filled and was cleared along the way.
+        assert max(sizes) == 8
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
     def test_signatures_below_prime(self):
         from repro.blocking.minhash import _MERSENNE
