@@ -18,7 +18,6 @@ training faults are absorbed by up to ``max_retries`` resume attempts.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -38,6 +37,7 @@ from repro.eval.metrics import accuracy, micro_f1, precision_recall_f1
 from repro.experiments.config import MODEL_SPECS, RunSpec
 from repro.ft.faults import FaultError, fault_point
 from repro.fasttext import FastTextEncoder, train_fasttext
+from repro.jsonl import publish_text
 from repro.models import (
     DeepMatcher,
     Ditto,
@@ -166,12 +166,10 @@ def _record_progress(spec: RunSpec, stage: str, enabled: bool, **extra) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"stage": stage, "spec": spec.digest(), "model": spec.model,
                "dataset": spec.dataset, **extra}
-    tmp = path.with_suffix(".json.tmp")
     try:
-        tmp.write_text(json.dumps(payload), encoding="utf-8")
-        os.replace(tmp, path)
+        publish_text(path, json.dumps(payload))
     except OSError:
-        tmp.unlink(missing_ok=True)
+        pass
 
 
 def _open_run(spec: RunSpec, resume: bool, run_name: str) -> RunWriter:
@@ -234,12 +232,7 @@ def run_experiment(spec: RunSpec, use_cache: bool = True,
                            max_retries=max_retries, probe_every=probe_every)
     if use_cache:
         # Atomic: a torn entry would fail every later cache hit.
-        tmp = cache_path.with_suffix(".json.tmp")
-        try:
-            tmp.write_text(json.dumps(metrics), encoding="utf-8")
-            os.replace(tmp, cache_path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        publish_text(cache_path, json.dumps(metrics))
     return metrics
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import os
 import re
 import time
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.ft.faults import fault_point
+from repro.jsonl import publish_text
 from repro.nn.serialization import CheckpointError, load_arrays, save_arrays
 from repro import obs
 
@@ -233,12 +233,7 @@ class Checkpointer:
                 "lr_scale": state.lr_scale,
                 "obs_counters": state.obs_counters,
             }
-            tmp = self.manifest_path(state.epoch).with_suffix(".json.tmp")
-            try:
-                tmp.write_text(json.dumps(manifest), encoding="utf-8")
-                os.replace(tmp, self.manifest_path(state.epoch))
-            finally:
-                tmp.unlink(missing_ok=True)
+            publish_text(self.manifest_path(state.epoch), json.dumps(manifest))
             self._prune()
             if obs.enabled():
                 save_span.set("bytes", npz.stat().st_size)

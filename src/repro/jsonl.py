@@ -29,11 +29,17 @@ for byte what ``json.dumps`` of the whole envelope with ``sort_keys``
 would write.  Reading (:func:`decode_line`) still re-serializes the
 decoded payload to verify the CRC; that re-encode is the integrity
 check.
+
+Whole-file JSON documents that are rewritten rather than appended (run
+manifests, checkpoint manifests, result-cache entries) are published
+with :func:`publish_text`: a reader sees the old file or the new one,
+never a torn one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,6 +151,23 @@ def iter_jsonl(path: str | Path, *, checksum: bool = False,
                 continue
             raise ChecksumError(path, lineno, str(exc)) from exc
         yield JsonlLine(lineno=lineno, raw=raw, payload=payload)
+
+
+def publish_text(path: str | Path, text: str) -> None:
+    """Atomically replace ``path`` with ``text``.
+
+    Writes ``<path>.tmp`` and ``os.replace``-s it over the target; the tmp
+    file is removed whatever happens, so a failed publish leaves the old
+    target intact and nothing behind.  No fsync: this guards against torn
+    files from a killed process, not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_jsonl_payloads(path: str | Path, *, checksum: bool = False,

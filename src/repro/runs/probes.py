@@ -28,24 +28,20 @@ import numpy as np
 # Logits past this magnitude sit in the flat tails of the sigmoid
 # (|grad| < 2e-2 of peak): the head has saturated on those examples.
 _SAT_LOGIT = 4.0
+# k of the probe.gamma_top{k}_mass channel.
+_GAMMA_TOPK = 3
 
 
 @dataclass
 class ProbeConfig:
-    """What to probe, and how often.
+    """How often to probe.
 
     ``interval`` is the sampling period in training steps; 0 disables
-    probing entirely (the zero-cost default).
+    probing entirely (the zero-cost default).  A sampled step records
+    every channel the model's output supports.
     """
 
     interval: int = 0
-    grad_norms: bool = True          # per-layer gradient L2 norms
-    update_ratio: bool = True        # per-layer ||Δw|| / ||w|| after Adam
-    saturation: bool = True          # head-logit saturation fractions
-    attention_entropy: bool = True   # last encoder layer, per head
-    attention_drift: bool = True     # per-head entropy drift vs first sample
-    gamma_concentration: bool = True # AoA gamma over RECORD1 tokens
-    topk: int = 3                    # top-k mass for gamma concentration
 
     @property
     def enabled(self) -> bool:
@@ -134,41 +130,33 @@ class Prober:
     # -- forward-side statistics ---------------------------------------
     def forward_stats(self, output, batch) -> dict[str, float]:
         """Channels computable from one batch's forward output."""
-        cfg = self.config
         stats: dict[str, float] = {}
-        if cfg.saturation:
-            logits = np.asarray(output.em_logits.data, dtype=np.float64)
-            stats["probe.sat.em"] = float(
-                np.mean(np.abs(logits) > _SAT_LOGIT))
-            stats["probe.logit_abs.em"] = float(np.mean(np.abs(logits)))
-        if ((cfg.attention_entropy or cfg.attention_drift)
-                and output.attentions):
+        logits = np.asarray(output.em_logits.data, dtype=np.float64)
+        stats["probe.sat.em"] = float(np.mean(np.abs(logits) > _SAT_LOGIT))
+        stats["probe.logit_abs.em"] = float(np.mean(np.abs(logits)))
+        if output.attentions:
             per_head = attention_entropy(output.attentions[-1],
                                          batch.attention_mask)
-            if cfg.attention_entropy:
-                stats["probe.attn_entropy"] = float(per_head.mean())
-                for head, value in enumerate(per_head):
-                    stats[f"probe.attn_entropy.h{head}"] = float(value)
-            if cfg.attention_drift:
-                if self._entropy_ref is None:
-                    self._entropy_ref = per_head.copy()
-                drift = np.abs(per_head - self._entropy_ref)
-                stats["probe.attn_drift"] = float(drift.mean())
-                for head, value in enumerate(drift):
-                    stats[f"probe.attn_drift.h{head}"] = float(value)
-        if cfg.gamma_concentration and output.aoa_gamma is not None:
+            stats["probe.attn_entropy"] = float(per_head.mean())
+            for head, value in enumerate(per_head):
+                stats[f"probe.attn_entropy.h{head}"] = float(value)
+            if self._entropy_ref is None:
+                self._entropy_ref = per_head.copy()
+            drift = np.abs(per_head - self._entropy_ref)
+            stats["probe.attn_drift"] = float(drift.mean())
+            for head, value in enumerate(drift):
+                stats[f"probe.attn_drift.h{head}"] = float(value)
+        if output.aoa_gamma is not None:
             ent, mass = gamma_concentration(output.aoa_gamma, batch.mask1,
-                                            topk=cfg.topk)
+                                            topk=_GAMMA_TOPK)
             if math.isfinite(ent):
                 stats["probe.gamma_entropy"] = ent
-                stats[f"probe.gamma_top{cfg.topk}_mass"] = mass
+                stats[f"probe.gamma_top{_GAMMA_TOPK}_mass"] = mass
         return stats
 
     # -- gradient-side statistics --------------------------------------
     def grad_stats(self) -> dict[str, float]:
         """Per-group and global gradient L2 norms (call after backward)."""
-        if not self.config.grad_norms:
-            return {}
         stats: dict[str, float] = {}
         total = 0.0
         for group, params in self._groups.items():
@@ -180,18 +168,14 @@ class Prober:
         return stats
 
     # -- update-side statistics ----------------------------------------
-    def snapshot_weights(self) -> dict[str, list[np.ndarray]] | None:
+    def snapshot_weights(self) -> dict[str, list[np.ndarray]]:
         """Copy current weights (call just before ``optimizer.step``)."""
-        if not self.config.update_ratio:
-            return None
         return {group: [p.data.copy() for p in params]
                 for group, params in self._groups.items()}
 
-    def update_stats(self, snapshot: dict[str, list[np.ndarray]] | None
+    def update_stats(self, snapshot: dict[str, list[np.ndarray]]
                      ) -> dict[str, float]:
         """Per-group ``||Δw|| / ||w||`` (call just after ``optimizer.step``)."""
-        if snapshot is None:
-            return {}
         stats: dict[str, float] = {}
         for group, before in snapshot.items():
             delta_sq = weight_sq = 0.0

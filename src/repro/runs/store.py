@@ -9,9 +9,10 @@ A *run* is one directory under the store root::
                           valid_f1, probe.* channels) + discrete events
         artifacts/        attached files (reports, rendered tables, ...)
 
-The manifest is written atomically (tmp + ``os.replace``) at every
-status transition, so a crashed run is visible as ``status="running"``
-with whatever series it got out before dying — never a torn JSON file.
+The manifest is written atomically (:func:`repro.jsonl.publish_text`)
+at every status transition, so a crashed run is visible as
+``status="running"`` with whatever series it got out before dying —
+never a torn JSON file.
 The series is append-only JSON lines flushed per write, so a ``kill -9``
 loses at most the final line.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator
 
-from repro.jsonl import iter_jsonl, read_jsonl_payloads
+from repro.jsonl import iter_jsonl, publish_text, read_jsonl_payloads
 
 _RUN_ID_RE = re.compile(r"^run-(\d{6})$")
 _FORMAT = 1
@@ -133,14 +134,9 @@ class RunWriter:
 
     # -- manifest -------------------------------------------------------
     def _write_manifest(self) -> None:
-        target = self.path / "manifest.json"
-        tmp = target.with_suffix(".json.tmp")
-        try:
-            tmp.write_text(json.dumps(self.manifest, indent=2, sort_keys=True,
-                                      default=str) + "\n", encoding="utf-8")
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
+        publish_text(self.path / "manifest.json",
+                     json.dumps(self.manifest, indent=2, sort_keys=True,
+                                default=str) + "\n")
 
     # -- series ---------------------------------------------------------
     def _series_handle(self) -> IO[str]:
@@ -181,13 +177,7 @@ class RunWriter:
             if "step" in line.payload and int(line.payload["step"]) >= step:
                 continue
             kept.append(line.raw)
-        tmp = path.with_suffix(".jsonl.tmp")
-        try:
-            tmp.write_text("\n".join(kept) + ("\n" if kept else ""),
-                           encoding="utf-8")
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        publish_text(path, "\n".join(kept) + ("\n" if kept else ""))
         return len(kept)
 
     # -- artifacts ------------------------------------------------------

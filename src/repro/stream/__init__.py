@@ -13,7 +13,8 @@ uninterrupted run would have reached.
 Components
 ----------
 - :class:`~repro.stream.wal.WriteAheadLog` — append-only, fsync-batched
-  checksummed JSONL journal with atomic snapshot + compaction;
+  checksummed JSONL journal with an atomic snapshot, after which the
+  log is truncated in place (the snapshot covers every line in it);
 - :class:`~repro.stream.index.IncrementalMinHashIndex` — insert /
   update / delete over the exact mod-(2^61-1) MinHash banding of
   :class:`~repro.blocking.minhash.MinHashBlocker`, with exactly-once

@@ -19,12 +19,13 @@ Snapshot + compaction
 ---------------------
 :meth:`WriteAheadLog.snapshot` persists a full-state payload atomically
 (checksummed tmp file, fsync, ``os.replace``, directory fsync), stamped
-with the last journaled sequence number, then compacts the log by
-atomically replacing it with only the ops newer than the snapshot
-(normally none).  Recovery is ``snapshot.state`` + replay of ops with
-``seq > snapshot.seq`` — a crash between the snapshot commit and the
-compaction merely leaves already-covered ops in the log, which replay
-skips by sequence number.
+with the last journaled sequence number after a ``sync()``, so the
+snapshot covers every line in the log.  Compaction then truncates the
+log to zero bytes in place, through the open append handle.  Recovery
+is ``snapshot.state`` + replay of ops with ``seq > snapshot.seq``,
+which must run exactly ``snapshot.seq + 1, + 2, ...`` — a crash
+between the snapshot commit and the truncation merely leaves
+already-covered ops in the log, which replay skips by sequence number.
 
 Fault sites (see :mod:`repro.ft.faults`): ``wal.append``,
 ``wal.fsync``, ``wal.snapshot.write``, ``wal.snapshot.commit``,
@@ -58,8 +59,10 @@ class WALError(RuntimeError):
 
 
 class WALCorruptError(WALError):
-    """Corruption before the tail: bad checksum, bad JSON, or a
-    non-monotonic sequence number.  Recovery must not proceed."""
+    """Corruption before the tail; recovery must not proceed.
+
+    A bad checksum, bad JSON, a non-monotonic sequence number, or a gap
+    in the ops newer than the snapshot."""
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -92,7 +95,7 @@ class WriteAheadLog:
     ----------
     directory:
         Created if missing.  Stale ``*.tmp`` files from a crashed
-        snapshot/compaction are removed at open.
+        snapshot (or an older version's compaction) are removed at open.
     sync_every:
         Auto-``sync()`` after this many buffered appends (group
         commit).  ``0`` means only explicit syncs.
@@ -159,10 +162,18 @@ class WriteAheadLog:
                     raise WALCorruptError(
                         f"{path}:{line.lineno}: sequence regressed "
                         f"({last_seq} -> {seq})")
+                if seq > self.snapshot_seq:
+                    # Ops newer than the snapshot must follow it without
+                    # a hole; covered lines only need to increase.
+                    expected = self.snapshot_seq + len(self._tail) + 1
+                    if seq != expected:
+                        raise WALCorruptError(
+                            f"{path}:{line.lineno}: journal gap: ops "
+                            f"{expected}..{seq - 1} missing (snapshot at "
+                            f"seq {self.snapshot_seq})")
+                    self._tail.append((seq, line.payload["op"]))
                 last_seq = seq
                 last_good_lineno = line.lineno
-                if seq > self.snapshot_seq:
-                    self._tail.append((seq, line.payload["op"]))
         except (ChecksumError, JsonlError) as exc:
             raise WALCorruptError(str(exc)) from exc
         if last_seq is not None:
@@ -268,25 +279,17 @@ class WriteAheadLog:
         return seq
 
     def _compact(self) -> None:
-        """Rewrite the log keeping only ops newer than the snapshot."""
+        """Empty the log in place: the committed snapshot covers all of it.
+
+        ``snapshot()`` syncs and stamps ``last_seq`` before calling this,
+        so every line in the log is covered and none needs keeping.  The
+        truncation runs only after the snapshot's directory fsync; a crash
+        before it leaves covered ops, which replay skips by seq.
+        """
         fault_point("wal.compact", self.snapshot_seq)
-        keep: list[str] = []
-        if self.log_path.exists():
-            for line in iter_jsonl(self.log_path, checksum=True,
-                                   corrupt="raise", tail="tolerate"):
-                if int(line.payload["seq"]) > self.snapshot_seq:
-                    keep.append(line.raw)
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        tmp = self.log_path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            if keep:
-                handle.write("\n".join(keep) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.log_path)
-        _fsync_dir(self.directory)
+        fd = self._handle()
+        os.ftruncate(fd, 0)
+        os.fsync(fd)
         self.stats.compactions += 1
 
     # ------------------------------------------------------------------

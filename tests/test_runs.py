@@ -234,17 +234,20 @@ class TestProbeMath:
     def test_attn_drift_measured_against_first_sample(self):
         """probe.attn_drift.h* is |entropy - first sampled entropy|."""
 
+        class _Logits:
+            data = np.zeros((1, 1))
+
         class _Out:
             def __init__(self, attn):
                 self.attentions = [attn]
-                self.aoa_gamma = None
+                self.em_logits = _Logits()
+                self.aoa_gamma = None       # no AoA head: no gamma channels
 
         class _Batch:
             attention_mask = np.ones((1, 3))
 
         probe = Prober.__new__(Prober)
-        probe.config = ProbeConfig(interval=1, saturation=False,
-                                   gamma_concentration=False)
+        probe.config = ProbeConfig(interval=1)
         probe._entropy_ref = None
         uniform = np.full((1, 1, 3, 3), 1 / 3)         # entropy ln 3
         point = np.zeros((1, 1, 3, 3))
@@ -256,23 +259,6 @@ class TestProbeMath:
         # The reference stays pinned to the first sample.
         third = probe.forward_stats(_Out(uniform), _Batch())
         assert third["probe.attn_drift"] == pytest.approx(0.0)
-
-    def test_attn_drift_disabled_by_config(self):
-        class _Out:
-            def __init__(self):
-                self.attentions = [np.full((1, 1, 3, 3), 1 / 3)]
-                self.aoa_gamma = None
-
-        class _Batch:
-            attention_mask = np.ones((1, 3))
-
-        probe = Prober.__new__(Prober)
-        probe.config = ProbeConfig(interval=1, saturation=False,
-                                   gamma_concentration=False,
-                                   attention_drift=False)
-        probe._entropy_ref = None
-        stats = probe.forward_stats(_Out(), _Batch())
-        assert not any(key.startswith("probe.attn_drift") for key in stats)
 
 
 class TestProbesInTraining:

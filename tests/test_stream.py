@@ -12,6 +12,7 @@ separately by byte-level truncation of the journal file.
 import hashlib
 import itertools
 import json
+import os
 import shutil
 import zlib
 from pathlib import Path
@@ -30,6 +31,7 @@ from repro.jsonl import (
     decode_line,
     encode_line,
     iter_jsonl,
+    publish_text,
     read_jsonl_payloads,
 )
 from repro.resolution import resolve_clusters
@@ -118,6 +120,21 @@ class TestJsonl:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_jsonl_payloads(tmp_path / "absent.jsonl")
+
+    def test_publish_failed_replace_keeps_old_target(self, tmp_path,
+                                                     monkeypatch):
+        target = tmp_path / "manifest.json"
+        publish_text(target, '{"v": 1}')
+        assert target.read_text() == '{"v": 1}'
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            publish_text(target, '{"v": 2}')
+        assert target.read_text() == '{"v": 1}'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     @pytest.mark.parametrize("payload", [
         {"name": "Schärfe 中文 😀", "note": "tab\there"},
@@ -244,6 +261,60 @@ class TestWriteAheadLog:
         assert recovered.snapshot_state == {"n": 3}
         assert list(recovered.replay()) == []       # covered ops skipped
         recovered.close()
+
+    def test_snapshot_empties_log_in_place(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(tmp_path, sync_every=0)
+        for i in range(3):
+            wal.append({"i": i})
+        wal.sync()
+        fd, inode = wal._fd, path.stat().st_ino
+        seq = wal.snapshot({"n": 3})
+        assert path.stat().st_size == 0
+        assert wal.append({"i": 3}) == seq + 1
+        wal.sync()
+        assert (wal._fd, path.stat().st_ino) == (fd, inode)   # same handle
+        wal.close()
+        recovered = WriteAheadLog(tmp_path)
+        assert list(recovered.replay()) == [(seq + 1, {"i": 3})]
+        recovered.close()
+
+    def test_compaction_stages_no_log_tmp(self, tmp_path, monkeypatch):
+        replaced = []
+        real_replace = os.replace
+
+        def recording_replace(src, dst):
+            replaced.append(Path(src).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        with WriteAheadLog(tmp_path, sync_every=2) as wal:
+            for i in range(5):
+                wal.append({"i": i})
+                wal.snapshot({"n": i + 1})
+                assert not (tmp_path / "wal.jsonl.tmp").exists()
+        assert replaced == ["snapshot.json.tmp"] * 5
+
+    def test_interior_gap_refused(self, tmp_path):
+        with WriteAheadLog(tmp_path, sync_every=0) as wal:
+            for i in range(5):
+                wal.append({"i": i})
+        path = tmp_path / "wal.jsonl"
+        lines = path.read_text().splitlines()
+        del lines[2]                                # seq 3 of 1..5
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(WALCorruptError, match=r"ops 3\.\.3 missing"):
+            WriteAheadLog(tmp_path)
+
+    def test_tail_without_its_snapshot_refused(self, tmp_path):
+        with WriteAheadLog(tmp_path, sync_every=0) as wal:
+            for i in range(4):
+                wal.append({"i": i})
+            wal.snapshot({"n": 4})
+            wal.append({"i": 4})
+        (tmp_path / "snapshot.json").unlink()       # log now starts at 5
+        with pytest.raises(WALCorruptError, match=r"ops 1\.\.4 missing"):
+            WriteAheadLog(tmp_path)
 
     def test_append_after_close_refused(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
